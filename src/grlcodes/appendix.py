@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .classify import classify
+from .gf import GrlError
 from .grl import GrlSpec
 from .hull import HERMITIAN
 
@@ -74,7 +75,7 @@ def load_rows(which: str = "all") -> list[AppendixRow]:
     if which in ("B", "all"):
         names += index["B"]
     if not names:
-        raise ValueError(f"unknown appendix selection {which!r}")
+        raise GrlError(f"unknown appendix selection {which!r}")
     rows = []
     for name in names:
         d = json.loads(_data_dir().joinpath(name).read_text())

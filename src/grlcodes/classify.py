@@ -19,24 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .gf import ZERO
+from . import eaqecc
+from .gf import ZERO, GrlError, TooLarge
 from .grl import GrlSpec, build_generator
 from .hull import EUCLIDEAN, HERMITIAN, dual_generator, hull_report
-from .linalg import Matrix, rank
+from .linalg import Matrix, mat_mul, rank
+from .nongrs import nongrs_certificate
 
 DEFAULT_BUDGET = 10 ** 7
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(GrlError):
     def __init__(self, lower_bound: int, budget: int):
         self.lower_bound = lower_bound
         self.budget = budget
         super().__init__(
             f"distance search exceeded budget {budget}; d >= {lower_bound}")
-
-
-class TooLarge(ValueError):
-    pass
 
 
 class _Counter:
@@ -190,7 +188,6 @@ def grl_min_distance(spec: GrlSpec) -> int:
             # map from the k-m free coefficients of g to the tail vector
             coeff = [[poly[k - l + u - i] if 0 <= k - l + u - i <= m else ZERO
                       for u in range(l)] for i in range(km)]
-            from .linalg import mat_mul
             w = mat_mul(Matrix(ctx, coeff), spec.a)
             for t in range(l, max(best - m, 0), -1):
                 hit = False
@@ -316,11 +313,9 @@ def classify(spec: GrlSpec, with_nongrs: bool = False,
     rep.hull_e = hull_report(g, EUCLIDEAN)
     if spec.ctx.m % 2 == 0:
         rep.hull_h = hull_report(g, HERMITIAN)
-    from . import eaqecc
     rep.eaqecc[EUCLIDEAN] = eaqecc.derive(rep, EUCLIDEAN)
     if rep.hull_h is not None:
         rep.eaqecc[HERMITIAN] = eaqecc.derive(rep, HERMITIAN)
     if with_nongrs:
-        from .nongrs import nongrs_certificate
         rep.nongrs = nongrs_certificate(spec)
     return rep

@@ -1,6 +1,8 @@
 """Command-line front end: construct, audit, sweep, count, certify.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
+Every input error reaches main() as a GrlError (or an OSError or a JSON
+error from reading a file) and is reported there as one stderr line.
 Outputs are deterministic for fixed inputs and seed: JSON keys sorted,
 no timestamps in the payload; timing goes to stderr.
 """
@@ -17,9 +19,9 @@ from .appendix import run_appendix
 from .classify import classify
 from .counting import brute_quadric_count, count_nf, count_nf_star
 from .eaqecc import derive
-from .families import FamilyParams, NoClaim, audit, family_ctx, sample_invertible, sweep
-from .gf import field_from_str
-from .grl import GrlSpec, InvariantViolation
+from .families import FamilyParams, audit, family_ctx, sample_invertible, sweep
+from .gf import GrlError, field_from_str
+from .grl import GrlSpec
 from .hull import EUCLIDEAN, HERMITIAN
 from .nongrs import nongrs_certificate
 
@@ -46,22 +48,12 @@ def _emit(args, payload):
 
 
 def _load_spec(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return GrlSpec.from_json_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: cannot load spec {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    with open(path) as fh:
+        return GrlSpec.from_json_dict(json.load(fh))
 
 
 def cmd_report(args):
     spec = _load_spec(args.spec)
-    try:
-        spec.validate()
-    except InvariantViolation as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return 2
     rep = classify(spec, with_nongrs=not args.no_nongrs)
     if args.csv:
         print("n,k,d,label,hull_e,hull_h")
@@ -102,8 +94,7 @@ def cmd_sweep(args):
         shifts = {}
         if args.family in ("E3", "H3"):
             if args.s is None or args.t is None:
-                print("error: E3/H3 need --s and --t", file=sys.stderr)
-                return 2
+                raise GrlError("E3/H3 need --s and --t")
             shifts = {"s": args.s, "t": args.t}
         elif args.family != "E4":
             shifts = {"delta": args.delta if args.delta is not None else 1}
@@ -111,12 +102,7 @@ def cmd_sweep(args):
             a = sample_invertible(ctx, args.l, rng)
             params = FamilyParams(family=args.family, q=args.q, k=args.k,
                                   l=args.l, a=a, **shifts)
-            try:
-                records.append(audit(params))
-            except NoClaim as exc:
-                print(f"error: no theorem claim applies: {exc}",
-                      file=sys.stderr)
-                return 2
+            records.append(audit(params))
         exhausted = False
     else:
         records, exhausted = sweep(args.family, qs=(args.q,),
@@ -134,12 +120,8 @@ def cmd_sweep(args):
 
 
 def cmd_count(args):
-    ctx = field_from_str(str(args.q))
-    try:
-        c = ctx.parse(args.c)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ctx = field_from_str(args.q)
+    c = ctx.parse(args.c)
     formula = count_nf_star(ctx, args.k, c) if args.nonzero \
         else count_nf(ctx, args.k, c)
     oracle = brute_quadric_count(ctx, args.k, c, nonzero_only=args.nonzero)
@@ -247,7 +229,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.time()
-    rc = args.func(args)
+    try:
+        rc = args.func(args)
+    except (GrlError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"[{args.command}] {time.time() - t0:.2f}s", file=sys.stderr)
     return rc
 

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from itertools import product
 
-from .gf import (ZERO, FieldCtx, NotADivisor, divisor_count,
-                 quadratic_character)
+from .gf import (ZERO, FieldCtx, GrlError, NotADivisor, TooLarge,
+                 divisor_count, quadratic_character)
 
 
 class NonIntegerResult(ArithmeticError):
-    pass
+    """A closed form left a remainder: an internal identity broke."""
 
 
-class TooLarge(ValueError):
-    pass
+def _check_length(k: int) -> None:
+    if k < 1:
+        raise GrlError(f"tuple length k = {k} must be >= 1")
 
 
 def _v(ctx: FieldCtx, c: int) -> int:
@@ -37,6 +38,7 @@ def count_nf(ctx: FieldCtx, k: int, c: int) -> int:
     Includes the all-zero tuple (a solution exactly when c = 0); use
     count_nf_excluding_zero for the count over F_q^k minus the origin.
     """
+    _check_length(k)
     q = ctx.q
     if k % 2 == 0:
         eta = _eta_minus_one_power(ctx, k // 2)
@@ -80,6 +82,7 @@ def _surd_pair_sum(k: int, w2: int) -> int:
 
 def count_nf_star(ctx: FieldCtx, k: int, c: int) -> int:
     """Number of k-tuples with all coordinates nonzero and sum of squares c."""
+    _check_length(k)
     q = ctx.q
     w2 = q if q % 4 == 1 else -q
     base = 2 * (q - 1) ** k
@@ -103,8 +106,9 @@ def count_nf_star(ctx: FieldCtx, k: int, c: int) -> int:
 def brute_quadric_count(ctx: FieldCtx, k: int, c: int,
                         nonzero_only: bool = False) -> int:
     """Literal enumeration of solution tuples; oracle for the closed forms."""
+    _check_length(k)
     if ctx.q ** k > 10 ** 7:
-        raise TooLarge(f"q^k = {ctx.q ** k} beyond enumeration guard")
+        raise TooLarge(f"q^k = {ctx.q ** k} beyond the 10^7 enumeration guard")
     pool = list(ctx.nonzero_elements()) if nonzero_only else list(ctx.elements())
     count = 0
     for tup in product(pool, repeat=k):
@@ -131,7 +135,7 @@ def hull1_count_bound(ctx: FieldCtx, delta: int, l: int,
     elif variant == "nonzero":
         nf = count_nf_star(ctx, l, c)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise GrlError(f"unknown variant {variant!r}")
     prod = 1
     for i in range(1, l):
         prod *= q ** l - q ** i

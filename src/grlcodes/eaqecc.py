@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .gf import GrlError
 from .hull import EUCLIDEAN, HERMITIAN
 
 
-class MissingHull(ValueError):
+class MissingHull(GrlError):
     pass
 
 
-class MissingDualDistance(ValueError):
+class MissingDualDistance(GrlError):
     pass
 
 
@@ -48,7 +49,7 @@ def derive(report, inner_product: str) -> tuple[EaqeccParams, EaqeccParams]:
     elif inner_product == HERMITIAN:
         hull = report.hull_h
     else:
-        raise ValueError(f"unknown inner product {inner_product!r}")
+        raise GrlError(f"unknown inner product {inner_product!r}")
     if hull is None:
         raise MissingHull(f"report carries no {inner_product} hull")
     if report.d_dual is None:

@@ -28,7 +28,8 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 
-from .gf import ZERO, FieldCtx, NotADivisor, field_new, quadratic_character, v_p
+from .gf import (ZERO, FieldCtx, GrlError, NotADivisor, field_new,
+                 prime_factors, quadratic_character, v_p)
 from .grl import (DistinctnessViolation, GrlSpec, InvariantViolation,
                   build_generator)
 from .hull import EUCLIDEAN, HERMITIAN, hull_report
@@ -39,11 +40,7 @@ HERMITIAN_FAMILIES = ("H1", "H2", "H3", "H4")
 FAMILIES = EUCLIDEAN_FAMILIES + HERMITIAN_FAMILIES
 
 
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-class NoClaim(ValueError):
+class NoClaim(GrlError):
     pass
 
 
@@ -100,23 +97,12 @@ class AuditRecord:
 
 def family_ctx(family: str, q: int) -> FieldCtx:
     """GF(q) for E-families, GF(q^2) for H-families."""
-    base = field_new(*_pm(q))
-    if family in EUCLIDEAN_FAMILIES:
-        return base
-    return field_new(base.p, 2 * base.m)
-
-
-def _pm(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            while q > 1:
-                if q % p:
-                    raise ValueError(f"{q} is not a prime power")
-                q //= p
-                m += 1
-            return p, m
-    raise ValueError(f"bad q {q}")
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise GrlError(f"{q} is not a prime power")
+    p = primes[0]
+    m = v_p(q, p)
+    return field_new(p, m if family in EUCLIDEAN_FAMILIES else 2 * m)
 
 
 def group_order(params: FamilyParams) -> int:
@@ -134,7 +120,7 @@ def _shift_list(params: FamilyParams):
         return [0, 1, 2]
     if fam == "H4":
         return list(range(params.delta + 1))
-    raise ValueError(f"unknown family {fam}")
+    raise GrlError(f"unknown family {fam}")
 
 
 def make_alpha(params: FamilyParams) -> list[int]:
@@ -195,6 +181,7 @@ def delta_conditions(q: int, k: int, delta: int) -> list[int]:
     two-block family with shifts (0, delta); empty list means none."""
     out = []
     a2, b2 = v_p(q - 1, 2), v_p(k, 2)
+    odd_primes = [pp for pp in prime_factors(q - 1) if pp != 2]
     diff2 = a2 - b2
     # factor delta as an odd-prime power if possible
     odd_base = None
@@ -225,10 +212,10 @@ def delta_conditions(q: int, k: int, delta: int) -> list[int]:
         if v_p(q - 1, pp) == v_p(k, pp) and e >= v_p(q - 1, pp) + 1:
             out.append(3)
     if two_exp is not None and two_exp >= a2:
-        if any(v_p(k, pp) < v_p(q - 1, pp) for pp in _odd_primes(q - 1)):
+        if any(v_p(k, pp) < v_p(q - 1, pp) for pp in odd_primes):
             out.append(4)
     if diff2 != 1:
-        for pp in _odd_primes(q - 1):
+        for pp in odd_primes:
             ediff = v_p(q - 1, pp) - v_p(k, pp)
             if ediff < 1:
                 continue
@@ -239,22 +226,6 @@ def delta_conditions(q: int, k: int, delta: int) -> list[int]:
     return out
 
 
-def _odd_primes(x):
-    out = []
-    d = 3
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 2 if d > 2 else 1
-    while x % 2 == 0:
-        x //= 2
-    if x > 2 and x not in out:
-        out.append(x)
-    return sorted(out)
-
-
 def _none(clause, **w):
     return Prediction(claim="none", value=None, clause=clause, witnesses=w)
 
@@ -262,8 +233,9 @@ def _none(clause, **w):
 def predict(params: FamilyParams) -> Prediction:
     """Strongest theorem claim whose hypotheses all hold, with every
     evaluated term attached as a witness; 'none' is a valid outcome."""
-    fam = params.family
-    if fam in EUCLIDEAN_FAMILIES:
+    if not 2 <= params.l <= params.k:
+        return _none("need 2 <= l <= k")
+    if params.family in EUCLIDEAN_FAMILIES:
         return _predict_euclidean(params)
     return _predict_hermitian(params)
 
@@ -485,7 +457,7 @@ def audit(params: FamilyParams) -> AuditRecord:
     """Build the code, compute the hull, compare against the prediction."""
     pred = predict(params)
     if pred.claim == "none":
-        raise NoClaim(pred.clause)
+        raise NoClaim(f"no theorem claim applies: {pred.clause}")
     spec = build_spec(params)
     inner = EUCLIDEAN if params.family in EUCLIDEAN_FAMILIES else HERMITIAN
     computed = hull_report(build_generator(spec), inner).hull_dim
@@ -637,7 +609,7 @@ def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
     for q, k, l, shifts in corpus_cells(family, qs, k_range):
         ctx = family_ctx(family, q)
         mats = [sample_invertible(ctx, l, rng) for _ in range(samples)]
-        if 2 * l == k:
+        if 2 * l == k and mats:
             # aim for the corner-zero equality clauses as well
             probe = FamilyParams(family=family, q=q, k=k, l=l,
                                  a=mats[0], **shifts)

@@ -13,24 +13,33 @@ FIELD_SIZE_CAP = 1 << 20
 ZERO = -1
 
 
-class NotPrime(ValueError):
+class GrlError(ValueError):
+    """Base of every error the library raises for bad input or an unmet
+    precondition; the command line maps it to exit code 2."""
+
+
+class NotPrime(GrlError):
     pass
 
 
-class EvenCharacteristic(ValueError):
+class EvenCharacteristic(GrlError):
     pass
 
 
-class FieldTooLarge(ValueError):
+class FieldTooLarge(GrlError):
     pass
 
 
-class NotASquareField(ValueError):
+class NotASquareField(GrlError):
     pass
 
 
-class NotADivisor(ValueError):
+class NotADivisor(GrlError):
     pass
+
+
+class TooLarge(GrlError):
+    """An exhaustive search or enumeration is beyond its size guard."""
 
 
 def is_prime(n: int) -> bool:
@@ -51,7 +60,7 @@ def is_prime(n: int) -> bool:
 def v_p(x: int, p: int) -> int:
     """Largest v with p^v | x, for x >= 1."""
     if x < 1:
-        raise ValueError("v_p requires x >= 1")
+        raise GrlError("v_p requires x >= 1")
     v = 0
     while x % p == 0:
         x //= p
@@ -62,7 +71,7 @@ def v_p(x: int, p: int) -> int:
 def divisor_count(x: int) -> int:
     """Number of positive divisors, by trial division."""
     if x < 1:
-        raise ValueError("divisor_count requires x >= 1")
+        raise GrlError("divisor_count requires x >= 1")
     total = 1
     d = 2
     while d * d <= x:
@@ -252,7 +261,7 @@ class FieldCtx:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if m < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise GrlError("extension degree must be >= 1")
         q = p ** m
         if q > FIELD_SIZE_CAP:
             raise FieldTooLarge(f"q = {q} exceeds cap {FIELD_SIZE_CAP}")
@@ -354,14 +363,18 @@ class FieldCtx:
         return out
 
     def parse(self, s: str) -> int:
-        s = s.strip()
-        if s == "0":
-            return ZERO
-        if s == "1":
-            return 0
-        if s.startswith("g^"):
-            return int(s[2:]) % self.n
-        raise ValueError(f"bad element literal {s!r} (want '0' or 'g^e')")
+        if isinstance(s, str):
+            s = s.strip()
+            if s == "0":
+                return ZERO
+            if s == "1":
+                return 0
+            if s.startswith("g^"):
+                try:
+                    return int(s[2:]) % self.n
+                except ValueError:
+                    pass
+        raise GrlError(f"bad element literal {s!r} (want '0' or 'g^e')")
 
     def fmt(self, a: int) -> str:
         return "0" if a == ZERO else f"g^{a}"
@@ -451,15 +464,12 @@ def field_new(p: int, m: int = 1) -> FieldCtx:
 
 def field_from_str(s: str) -> FieldCtx:
     """Parse a field spec like '3^4' or '31'."""
-    s = s.strip()
-    if "^" in s:
-        ps, ms = s.split("^", 1)
-        return field_new(int(ps), int(ms))
-    return field_new(int(s), 1)
-
-
-def frobenius_q(ctx2: FieldCtx, x: int) -> int:
-    return ctx2.frob(x)
+    ps, sep, ms = s.partition("^")
+    try:
+        p, m = int(ps), int(ms) if sep else 1
+    except ValueError:
+        raise GrlError(f"bad field {s!r} (want 'p' or 'p^m')") from None
+    return field_new(p, m)
 
 
 def quadratic_character(ctx: FieldCtx, c: int) -> int:

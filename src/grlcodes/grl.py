@@ -11,18 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import ZERO, FieldCtx, NotADivisor
+from .gf import ZERO, FieldCtx, GrlError, NotADivisor, field_from_str
 from .linalg import Matrix, rank
 
 
-class InvariantViolation(ValueError):
+class InvariantViolation(GrlError):
     def __init__(self, reasons):
         self.reasons = list(reasons)
         super().__init__("; ".join(self.reasons))
 
 
-class DistinctnessViolation(ValueError):
+class DistinctnessViolation(GrlError):
     pass
+
+
+# spec keys and their JSON types; "v" may be omitted for all ones
+_SPEC_KEYS = {"field": (str,), "k": (int,), "l": (int,), "alpha": (list,),
+              "v": (list, type(None)), "A": (list,)}
 
 
 @dataclass
@@ -78,13 +83,20 @@ class GrlSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GrlSpec":
-        from .gf import field_from_str
+        if not isinstance(d, dict):
+            raise GrlError(f"spec must be a JSON object, not {type(d).__name__}")
+        for key, kinds in _SPEC_KEYS.items():
+            if not isinstance(d.get(key), kinds):
+                raise GrlError(f"spec needs key {key!r} of type "
+                               f"{kinds[0].__name__}")
+        if not all(isinstance(row, list) for row in d["A"]):
+            raise GrlError("spec key 'A' must be a list of rows")
         ctx = field_from_str(d["field"])
         alpha = [ctx.parse(s) for s in d["alpha"]]
         v = [ctx.parse(s) for s in d.get("v") or ["g^0"] * len(alpha)]
         a = Matrix.from_strs(ctx, d["A"])
-        spec = cls(ctx=ctx, alpha=alpha, v=v, a=a, k=int(d["k"]))
-        if a.rows != int(d["l"]):
+        spec = cls(ctx=ctx, alpha=alpha, v=v, a=a, k=d["k"])
+        if a.rows != d["l"]:
             raise InvariantViolation([f"A is {a.rows}x{a.cols} but l={d['l']}"])
         return spec
 
@@ -115,7 +127,7 @@ def power_sum(ctx: FieldCtx, beta: int, s: int, t: int) -> int:
     multiplicative group order.
     """
     if beta == ZERO:
-        raise ValueError("beta must be nonzero")
+        raise GrlError("beta must be nonzero")
     if s < 1 or ctx.n % s:
         raise NotADivisor(f"{s} does not divide the group order {ctx.n}")
     if t % s:
@@ -137,26 +149,3 @@ def build_M(ctx2: FieldCtx, k: int, t: int) -> Matrix:
     for r in range(k):
         rows.append([power_sum(ctx2, beta, k, r + c * q) for c in range(k)])
     return Matrix(ctx2, rows)
-
-
-def alpha_distinct(alpha) -> bool:
-    return len(set(alpha)) == len(alpha)
-
-
-def two_block_distinct(group_order: int, k: int, s: int, t: int) -> bool:
-    """Whether the shifted blocks gamma^s*a and gamma^t*a stay disjoint:
-    true iff (group_order/k) does not divide s - t."""
-    if group_order % k:
-        raise NotADivisor(f"{k} does not divide {group_order}")
-    return (s - t) % (group_order // k) != 0
-
-
-def monomial_diag(spec: GrlSpec) -> Matrix:
-    """diag(v, 1_l): build_generator(alpha,v,A) = build_generator(alpha,1,A) . D."""
-    ctx = spec.ctx
-    d = Matrix.zeros(ctx, spec.length, spec.length)
-    for j in range(spec.n):
-        d.data[j][j] = spec.v[j]
-    for j in range(spec.n, spec.length):
-        d.data[j][j] = 0
-    return d

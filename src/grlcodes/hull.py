@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import NotASquareField
+from .gf import GrlError, NotASquareField
 from .grl import GrlSpec, build_generator
 from .linalg import (Matrix, conj_transpose, conjugate, kernel_basis,
                      mat_mul, rank, stack, transpose)
@@ -20,11 +20,7 @@ EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
 
 
-class RankDeficient(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
+class RankDeficient(GrlError):
     pass
 
 
@@ -57,7 +53,7 @@ def gram(g: Matrix, inner_product: str) -> Matrix:
         return gram_euclidean(g)
     if inner_product == HERMITIAN:
         return gram_hermitian(g)
-    raise ValueError(f"unknown inner product {inner_product!r}")
+    raise GrlError(f"unknown inner product {inner_product!r}")
 
 
 def hull_report(g: Matrix, inner_product: str) -> HullReport:
@@ -82,7 +78,7 @@ def dual_generator(g: Matrix, inner_product: str) -> Matrix:
         return ker
     if inner_product == HERMITIAN:
         return conjugate(ker)
-    raise ValueError(f"unknown inner product {inner_product!r}")
+    raise GrlError(f"unknown inner product {inner_product!r}")
 
 
 def hull_dim_bruteforce(g: Matrix, inner_product: str) -> int:

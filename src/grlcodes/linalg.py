@@ -6,14 +6,14 @@ Entries are log-form ints as in :mod:`grlcodes.gf`.
 
 from __future__ import annotations
 
-from .gf import ZERO, FieldCtx, NotASquareField
+from .gf import ZERO, FieldCtx, GrlError, NotASquareField
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(GrlError):
     pass
 
 
-class FieldMismatch(ValueError):
+class FieldMismatch(GrlError):
     pass
 
 

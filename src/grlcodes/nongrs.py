@@ -22,17 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .gf import ZERO, FieldCtx
+from .gf import ZERO, FieldCtx, GrlError, TooLarge
 from .grl import GrlSpec, build_generator
 from .hull import EUCLIDEAN, RankDeficient, dual_generator
 from .linalg import Matrix, rank, rref
 
 
-class DegenerateColumn(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
+class DegenerateColumn(GrlError):
     pass
 
 

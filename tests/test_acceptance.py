@@ -19,7 +19,7 @@ import random
 from itertools import product
 from math import gcd
 
-from grlcodes.appendix import load_rows, run_appendix
+from grlcodes.appendix import load_rows
 from grlcodes.classify import classify, min_distance
 from grlcodes.counting import (brute_quadric_count, count_nf, count_nf_star,
                                hull1_count_bound)
@@ -60,8 +60,8 @@ CRIT1 = {
 }
 
 
-def test_criterion_1_appendix_a():
-    results = {r.id: r for r in run_appendix("A")}
+def test_criterion_1_appendix_a(appendix_results):
+    results = appendix_results
     problems = []
     for rid, (n, k, d, label) in CRIT1.items():
         r = results[rid]
@@ -80,8 +80,8 @@ def test_criterion_1_appendix_a():
 
 # -- criterion 2: appendix B reproduction (exact) --
 
-def test_criterion_2_appendix_b():
-    results = {r.id: r for r in run_appendix("B")}
+def test_criterion_2_appendix_b(appendix_results):
+    results = appendix_results
     problems = []
 
     def check(rid, n, k, d, label=None):

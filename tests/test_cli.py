@@ -5,16 +5,18 @@ import pytest
 from grlcodes.cli import main
 
 
+A1_SPEC = {
+    "field": "3^4", "k": 5, "l": 2,
+    "alpha": ["g^18", "g^34", "g^50", "g^66", "g^2"],
+    "v": ["g^0"] * 5,
+    "A": [["g^1", "g^2"], ["g^3", "g^5"]],
+}
+
+
 @pytest.fixture()
 def a1_spec_file(tmp_path):
-    spec = {
-        "field": "3^4", "k": 5, "l": 2,
-        "alpha": ["g^18", "g^34", "g^50", "g^66", "g^2"],
-        "v": ["g^0"] * 5,
-        "A": [["g^1", "g^2"], ["g^3", "g^5"]],
-    }
     path = tmp_path / "a1.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(A1_SPEC))
     return str(path)
 
 
@@ -156,3 +158,69 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--family", "Z9", "--q", "5"])
     assert exc.value.code == 2
+
+
+SPEC, DIR = "<spec>", "<dir>"   # replaced by a spec file / a directory
+SINGULAR_A = {**A1_SPEC, "A": [["1", "1"], ["1", "1"]]}
+REPEATED_ALPHA = {**A1_SPEC, "alpha": ["g^18", "g^18", "g^50", "g^66", "g^2"]}
+COUNT = ["count", "--q", "5", "--k", "2", "--c", "0"]
+CELL = ["sweep", "--family", "E1", "--q", "81", "--delta", "2"]
+
+
+def _count(**flags):
+    argv = list(COUNT)
+    for flag, value in flags.items():
+        argv[argv.index(f"--{flag}") + 1] = value
+    return argv
+
+
+# (argv, spec file content, text the error line must contain)
+BAD_INPUTS = {
+    "eaqecc-singular-A": (["eaqecc", "--spec", SPEC], SINGULAR_A, "GL_l"),
+    "nongrs-singular-A": (["nongrs", "--spec", SPEC], SINGULAR_A, "GL_l"),
+    "eaqecc-repeated-alpha": (["eaqecc", "--spec", SPEC], REPEATED_ALPHA,
+                              "distinct"),
+    "nongrs-repeated-alpha": (["nongrs", "--spec", SPEC], REPEATED_ALPHA,
+                              "distinct"),
+    "spec-is-a-list": (["report", "--spec", SPEC], [A1_SPEC], "JSON object"),
+    "spec-alpha-is-int": (["report", "--spec", SPEC], {**A1_SPEC, "alpha": 5},
+                          "'alpha'"),
+    "spec-integer-literals": (["report", "--spec", SPEC],
+                              {**A1_SPEC, "alpha": [18, 34, 50, 66, 2]},
+                              "literal 18"),
+    "spec-not-json": (["report", "--spec", SPEC], "{not json", None),
+    "count-even-q": (_count(q="4"), None, "odd"),
+    "count-q-over-cap": (_count(q="3^20"), None, "cap"),
+    "count-q-not-a-number": (_count(q="abc"), None, "'abc'"),
+    "count-q-zero-degree": (_count(q="3^0"), None, "degree"),
+    "count-negative-k": (_count(k="-1"), None, "k = -1"),
+    "count-zero-k": (_count(k="0"), None, "k = 0"),
+    "count-over-enumeration-guard": (_count(q="101", k="6"), None, "guard"),
+    "sweep-q-not-prime-power": (["sweep", "--family", "E1", "--q", "10"],
+                                None, "10 is not a prime power"),
+    "sweep-q-one": (["sweep", "--family", "E1", "--q", "1"], None,
+                    "1 is not a prime power"),
+    "sweep-even-q": (["sweep", "--family", "H1", "--q", "2"], None, "odd"),
+    "sweep-cell-l-zero": (CELL + ["--k", "5", "--l", "0"], None, "l <= k"),
+    "sweep-cell-k-zero": (CELL + ["--k", "0", "--l", "2"], None, "l <= k"),
+    "count-out-is-a-directory": (COUNT + ["--json", "--out", DIR], None,
+                                 "directory"),
+    "count-bad-element": (_count(c="3"), None, "'3'"),
+}
+
+
+@pytest.mark.parametrize("argv,spec,needle", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_input_error_exits_2_with_one_error_line(argv, spec, needle, tmp_path,
+                                                 capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    argv = [{SPEC: str(path), DIR: str(tmp_path)}.get(a, a) for a in argv]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert rc == 2 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    if needle is not None:
+        assert needle in lines[0]

@@ -1,0 +1,95 @@
+"""The single error model: every library exception is a GrlError.
+
+The command line maps GrlError to exit code 2, so an input check that
+raised anything else would escape it as a traceback.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import grlcodes
+from grlcodes.gf import ZERO, GrlError, field_new
+from grlcodes.grl import GrlSpec
+
+
+def _exception_classes():
+    for info in pkgutil.iter_modules(grlcodes.__path__):
+        mod = importlib.import_module(f"grlcodes.{info.name}")
+        for obj in vars(mod).values():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == mod.__name__):
+                yield obj
+
+
+def test_one_exception_hierarchy():
+    classes = list(_exception_classes())
+    names = [cls.__name__ for cls in classes]
+    assert len(names) == len(set(names)), sorted(names)
+    assert {"GrlError", "TooLarge", "BudgetExceeded"} <= set(names)
+    # NonIntegerResult marks a broken internal identity, not bad input
+    strays = [cls.__qualname__ for cls in classes
+              if not issubclass(cls, GrlError)]
+    assert strays == ["NonIntegerResult"]
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=12))
+json_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
+literals = st.sampled_from(["0", "1", "g^0", "g^3", "g^-2", " g^7 "])
+valid_shape = st.fixed_dictionaries({
+    "field": st.sampled_from(["3", "7", "3^2", "5^2"]), "k": st.integers(-1, 6), "l": st.integers(-1, 4),
+    "alpha": st.lists(literals, max_size=6),
+    "v": st.lists(literals, max_size=6) | st.none(),
+    "A": st.lists(st.lists(literals, max_size=3), max_size=3),
+})
+
+
+@st.composite
+def spec_like(draw):
+    """A spec-shaped object with at most one key dropped or replaced by
+    another JSON value."""
+    d = draw(valid_shape)
+    key = draw(st.sampled_from([None, *d]))
+    if key is not None:
+        if draw(st.booleans()):
+            del d[key]
+        else:
+            d[key] = draw(st.integers() | st.text(max_size=4)
+                          | st.lists(json_scalars, max_size=3) | json_values)
+    return d
+
+
+SPEC = {"field": "7", "k": 3, "l": 2, "alpha": ["0", "1", "g^1", "g^2"],
+        "A": [["1", "0"], ["0", "1"]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_like() | json_values)
+@example(SPEC)
+@example([SPEC])
+@example({**SPEC, "A": [5, 6]})
+@example({**SPEC, "A": ["10", "01"]})
+@example({**SPEC, "v": 5})
+def test_spec_from_json_returns_a_spec_or_raises_grl_error(value):
+    try:
+        spec = GrlSpec.from_json_dict(value)
+    except GrlError:
+        return
+    assert isinstance(spec, GrlSpec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(literals | st.text(max_size=4).map("g^".__add__) | json_scalars)
+def test_parse_returns_an_element_or_raises_grl_error(value):
+    ctx = field_new(3, 2)
+    try:
+        x = ctx.parse(value)
+    except GrlError:
+        return
+    assert x == ZERO or 0 <= x < ctx.n

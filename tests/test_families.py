@@ -212,6 +212,8 @@ def test_sweep_small_deterministic():
 def test_sweep_empty_range():
     recs, exhausted = sweep("E1", qs=(), samples=1, seed=0)
     assert recs == [] and not exhausted
+    # no samples: nothing audited, and no corner probe on a missing matrix
+    assert sweep("E1", qs=(25,), samples=0, seed=0) == ([], False)
 
 
 def test_sweep_budget_marker():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from grlcodes.families import FamilyParams, family_ctx, make_alpha
 from grlcodes.gf import ZERO, NotADivisor, field_new
-from grlcodes.grl import (GrlSpec, InvariantViolation, alpha_distinct,
-                          build_M, build_generator, monomial_diag, power_sum,
-                          two_block_distinct)
+from grlcodes.grl import (DistinctnessViolation, GrlSpec, InvariantViolation,
+                          build_M,
+                          build_generator, power_sum)
 from grlcodes.linalg import Matrix, mat_mul, rank
 
 
@@ -88,7 +89,11 @@ def test_generator_full_rank_and_monomial_equivalence():
             g = build_generator(spec)
             assert rank(g) == k
             g1 = build_generator(spec.with_unit_v())
-            assert mat_mul(g1, monomial_diag(spec)) == g
+            # diag(v, 1_l) carries the unit-v generator to g
+            diag = Matrix.zeros(ctx, spec.length, spec.length)
+            for j in range(spec.length):
+                diag.data[j][j] = v[j] if j < n else ctx.one()
+            assert mat_mul(g1, diag) == g
 
 
 def test_spec_validation_errors():
@@ -197,20 +202,28 @@ def test_build_M_single_nonzero_per_row_and_column(p, m):
                 assert mat == build_M_direct(ctx, k, t)
 
 
+def two_block_alpha(family, q, k, s, t):
+    ctx = family_ctx(family, q)
+    a = Matrix.from_strs(ctx, [["g^1", "g^2"], ["g^3", "g^5"]])
+    return make_alpha(FamilyParams(family=family, q=q, k=k, l=2, a=a,
+                                   s=s, t=t))
+
+
 def test_distinctness_checks():
-    assert two_block_distinct(30, 5, 1, 9)        # 6 does not divide 8
-    assert not two_block_distinct(30, 5, 7, 1)    # 6 | 6
-    assert not two_block_distinct(30, 5, 3, 3)    # s = t
-    assert not two_block_distinct(120, 5, 25, 1)  # 24 | 24 (GF(121) base 11)
-    # literal pairwise comparison agrees
-    ctx = field_new(11, 2)
-    step = ctx.n // 5
+    assert len(set(two_block_alpha("E3", 31, 5, 1, 9))) == 10  # 6 ∤ 8
+    for s, t in ((7, 1), (3, 3)):                              # 6 | 6, s = t
+        with pytest.raises(DistinctnessViolation, match="divisible by 6"):
+            two_block_alpha("E3", 31, 5, s, t)
+    # GF(11^2): the blocks coincide iff 24 | s - t; literal comparison agrees
     for s, t in ((25, 1), (2, 1), (26, 2), (9, 1)):
-        alpha = [ctx.element(step * i + s) for i in range(1, 6)] + \
-                [ctx.element(step * i + t) for i in range(1, 6)]
-        assert alpha_distinct(alpha) == two_block_distinct(ctx.n, 5, s, t)
+        try:
+            alpha = two_block_alpha("H3", 11, 5, s, t)
+            distinct = len(set(alpha)) == len(alpha)
+        except DistinctnessViolation:
+            distinct = False
+        assert distinct == ((s - t) % 24 != 0), (s, t)
     with pytest.raises(NotADivisor):
-        two_block_distinct(30, 7, 1, 2)
+        two_block_alpha("E3", 31, 7, 1, 2)
 
 
 def test_json_roundtrip():
