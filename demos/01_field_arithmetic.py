@@ -11,7 +11,7 @@ from grlcodes.gf import ZERO, field_new, quadratic_character
 
 ctx = field_new(3, 4)
 print(f"GF(81): modulus coefficients (ascending) = {ctx.modulus}")
-print(f"gamma is the class of x; gamma as packed id = {ctx.gamma_id}")
+print(f"gamma is the class of x; gamma as packed id = {ctx.exp[1]}")
 print(f"group order = {ctx.n}, -1 = gamma^{ctx.half}")
 
 g = ctx.gen()

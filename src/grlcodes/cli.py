@@ -108,6 +108,8 @@ def cmd_sweep(args):
         records, exhausted = sweep(args.family, qs=(args.q,),
                                    samples=args.samples, seed=args.seed,
                                    budget=args.budget)
+    if not records:
+        raise GrlError(f"sweep of {args.family} at q = {args.q} audited nothing")
     ok = all(r.passed for r in records)
     payload = {"manifest": _manifest(args, seed=args.seed),
                "family": args.family,
@@ -122,9 +124,10 @@ def cmd_sweep(args):
 def cmd_count(args):
     ctx = field_from_str(args.q)
     c = ctx.parse(args.c)
+    # the oracle first: its enumeration guard also bounds the closed forms
+    oracle = brute_quadric_count(ctx, args.k, c, nonzero_only=args.nonzero)
     formula = count_nf_star(ctx, args.k, c) if args.nonzero \
         else count_nf(ctx, args.k, c)
-    oracle = brute_quadric_count(ctx, args.k, c, nonzero_only=args.nonzero)
     agree = formula == oracle
     payload = {"manifest": _manifest(args, ctx),
                "k": args.k, "c": ctx.fmt(c), "nonzero_only": args.nonzero,

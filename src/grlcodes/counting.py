@@ -107,8 +107,9 @@ def brute_quadric_count(ctx: FieldCtx, k: int, c: int,
                         nonzero_only: bool = False) -> int:
     """Literal enumeration of solution tuples; oracle for the closed forms."""
     _check_length(k)
-    if ctx.q ** k > 10 ** 7:
-        raise TooLarge(f"q^k = {ctx.q ** k} beyond the 10^7 enumeration guard")
+    # q^24 >= 2^24 > 10^7, so the capped exponent decides a huge k as well
+    if ctx.q ** min(k, 24) > 10 ** 7:
+        raise TooLarge(f"q^k = {ctx.q}^{k} beyond the 10^7 enumeration guard")
     pool = list(ctx.nonzero_elements()) if nonzero_only else list(ctx.elements())
     count = 0
     for tup in product(pool, repeat=k):

@@ -28,8 +28,9 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 
-from .gf import (ZERO, FieldCtx, GrlError, NotADivisor, field_new,
-                 prime_factors, quadratic_character, v_p)
+from .gf import (FIELD_SIZE_CAP, ZERO, FieldCtx, FieldTooLarge, GrlError,
+                 NotADivisor, field_new, prime_factors, quadratic_character,
+                 v_p)
 from .grl import (DistinctnessViolation, GrlSpec, InvariantViolation,
                   build_generator)
 from .hull import EUCLIDEAN, HERMITIAN, hull_report
@@ -97,6 +98,8 @@ class AuditRecord:
 
 def family_ctx(family: str, q: int) -> FieldCtx:
     """GF(q) for E-families, GF(q^2) for H-families."""
+    if q > FIELD_SIZE_CAP:  # before q is factored
+        raise FieldTooLarge(f"q = {q} exceeds cap {FIELD_SIZE_CAP}")
     primes = prime_factors(q)
     if len(primes) != 1:
         raise GrlError(f"{q} is not a prime power")

@@ -8,6 +8,8 @@ addition goes through a precomputed Zech logarithm table.
 
 from __future__ import annotations
 
+from math import prod
+
 FIELD_SIZE_CAP = 1 << 20
 
 ZERO = -1
@@ -43,18 +45,7 @@ class TooLarge(GrlError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 def v_p(x: int, p: int) -> int:
@@ -69,22 +60,10 @@ def v_p(x: int, p: int) -> int:
 
 
 def divisor_count(x: int) -> int:
-    """Number of positive divisors, by trial division."""
+    """Number of positive divisors of x >= 1."""
     if x < 1:
         raise GrlError("divisor_count requires x >= 1")
-    total = 1
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            e = 0
-            while x % d == 0:
-                x //= d
-                e += 1
-            total *= e + 1
-        d += 1
-    if x > 1:
-        total *= 2
-    return total
+    return prod(v_p(x, r) + 1 for r in prime_factors(x))
 
 
 def prime_factors(x: int) -> list[int]:
@@ -252,37 +231,33 @@ class FieldCtx:
     primitive root mod p.
     """
 
-    __slots__ = ("p", "m", "q", "n", "half", "modulus", "gamma_id",
+    __slots__ = ("p", "m", "q", "n", "half", "modulus",
                  "exp", "log", "zech", "_frob_mult")
 
     def __init__(self, p: int, m: int = 1):
         if p == 2 or (p > 2 and p % 2 == 0):
             raise EvenCharacteristic("characteristic must be odd")
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if m < 1:
             raise GrlError("extension degree must be >= 1")
+        # checked before p is factored; 2^m > the cap once m reaches its
+        # bit length, so a huge m is refused without computing p^m
+        if p > 1 and (m >= FIELD_SIZE_CAP.bit_length()
+                      or p ** m > FIELD_SIZE_CAP):
+            size = f"{p}^{m}" if m > 1 else p
+            raise FieldTooLarge(f"q = {size} exceeds cap {FIELD_SIZE_CAP}")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         q = p ** m
-        if q > FIELD_SIZE_CAP:
-            raise FieldTooLarge(f"q = {q} exceeds cap {FIELD_SIZE_CAP}")
         self.p = p
         self.m = m
         self.q = q
         self.n = q - 1          # multiplicative group order
         self.half = (q - 1) // 2  # log of -1
         self.modulus = _conway_poly_cached(p, m)
-        self.gamma_id = self._poly_to_id(_pmod([0, 1], self.modulus, p))
         self._build_tables()
         self._frob_mult = p ** (m // 2) if m % 2 == 0 else None
 
     # ids are packed coefficient vectors: id = sum c_i p^i
-
-    def _id_to_poly(self, i):
-        out = []
-        for _ in range(self.m):
-            out.append(i % self.p)
-            i //= self.p
-        return _ptrim(out)
 
     def _poly_to_id(self, f):
         out = 0
@@ -290,46 +265,31 @@ class FieldCtx:
             out = out * self.p + c
         return out
 
-    def _id_mul(self, a, b):
-        f = _pmod(_pmul(self._id_to_poly(a), self._id_to_poly(b), self.p),
-                  self.modulus, self.p)
-        return self._poly_to_id(f)
-
-    def _id_add(self, a, b):
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return out
-
-    def _id_pow(self, base, e):
-        result = 1
-        while e:
-            if e & 1:
-                result = self._id_mul(result, base)
-            base = self._id_mul(base, base)
-            e >>= 1
-        return result
-
     def _build_tables(self):
-        exp = [0] * self.n
+        p, n = self.p, self.n
+        low = self.modulus[:-1]   # x^m = -sum low[i] x^i
+        top = p ** (self.m - 1)
+        exp = [0] * n
         log = [ZERO] * self.q
         cur = 1
-        for e in range(self.n):
+        for e in range(n):
             exp[e] = cur
             log[cur] = e
-            cur = self._id_mul(cur, self.gamma_id)
+            # cur * gamma: shift the digits up one place and fold the top
+            # digit back in through the modulus
+            hi, rest = divmod(cur, top)
+            rest *= p
+            cur, place = 0, 1
+            for c in low:
+                rest, d = divmod(rest, p)
+                cur += (d - hi * c) % p * place
+                place *= p
         if cur != 1:
             raise AssertionError("gamma does not have order q-1")
         self.exp = exp
         self.log = log
-        zech = [ZERO] * self.n
-        for e in range(self.n):
-            s = self._id_add(exp[e], 1)
-            zech[e] = ZERO if s == 0 else log[s]
-        self.zech = zech
+        # 1 + gamma^e adds 1 to the constant digit; log[0] is ZERO
+        self.zech = [log[x - x % p + (x + 1) % p] for x in exp]
 
     # -- element construction / formatting --
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import GrlError, NotASquareField
-from .grl import GrlSpec, build_generator
 from .linalg import (Matrix, conj_transpose, conjugate, kernel_basis,
                      mat_mul, rank, stack, transpose)
 
@@ -63,10 +62,6 @@ def hull_report(g: Matrix, inner_product: str) -> HullReport:
     h = g.rows - r
     return HullReport(inner_product=inner_product, gram_rank=r,
                       hull_dim=h, is_lcd=(h == 0))
-
-
-def hull_dim(spec: GrlSpec, inner_product: str) -> HullReport:
-    return hull_report(build_generator(spec), inner_product)
 
 
 def dual_generator(g: Matrix, inner_product: str) -> Matrix:

@@ -57,9 +57,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over GF({self.ctx.q}))"
 
-    def copy(self):
-        return Matrix(self.ctx, self.data)
-
     def col(self, j):
         return [row[j] for row in self.data]
 

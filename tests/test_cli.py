@@ -206,6 +206,18 @@ BAD_INPUTS = {
     "count-out-is-a-directory": (COUNT + ["--json", "--out", DIR], None,
                                  "directory"),
     "count-bad-element": (_count(c="3"), None, "'3'"),
+    "count-huge-prime-q": (_count(q=str(2 ** 61 - 1)), None, "cap"),
+    "count-huge-degree": (_count(q="3^1000000000"), None, "cap"),
+    "count-huge-k": (_count(k="100000000"), None, "guard"),
+    "sweep-huge-q": (["sweep", "--family", "E1", "--q", str(2 ** 61 - 1)],
+                     None, "cap"),
+    "sweep-no-cell-fits": (["sweep", "--family", "E1", "--q", "3"], None,
+                           "E1 at q = 3 audited nothing"),
+    "sweep-zero-samples": (["sweep", "--family", "E1", "--q", "81",
+                            "--samples", "0"], None,
+                           "E1 at q = 81 audited nothing"),
+    "sweep-cell-zero-samples": (CELL + ["--k", "5", "--l", "2", "--samples",
+                                        "0"], None, "audited nothing"),
 }
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from grlcodes.gf import (ZERO, EvenCharacteristic, FieldTooLarge, NotPrime,
-                         NotASquareField, divisor_count, field_new,
-                         field_from_str, is_prime,
+                         NotASquareField, _ppowmod, _ptrim, divisor_count,
+                         field_new, field_from_str, is_prime,
                          quadratic_character, v_p)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
@@ -25,7 +25,7 @@ def test_field_new_gf5_smallest_generator():
     # exhaustive order check over {2,3,4}: 2 is the first with order 4
     orders = {c: brute_order(ctx, ctx.log[c]) for c in (2, 3, 4)}
     assert orders[2] == 4
-    assert ctx.gamma_id == 2
+    assert ctx.exp[1] == 2
 
 
 def test_field_new_gf81_group_order():
@@ -71,6 +71,27 @@ def test_tables_mutually_inverse(p, m):
     for e in range(ctx.n):
         assert ctx.log[ctx.exp[e]] == e
     assert len(set(ctx.exp)) == ctx.n
+
+
+def _packed(f, p):
+    return sum(c * p ** i for i, c in enumerate(f))
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS + [(3, 6), (10007, 1)])
+def test_tables_match_polynomial_powers(p, m):
+    # oracle: gamma^e is x^e mod the modulus in coefficient-list arithmetic,
+    # which does not use the digit recurrence that builds the tables
+    ctx = field_new(p, m)
+    for e in range(0, ctx.n, 1 if ctx.q < 1000 else 37):
+        f = _ppowmod([0, 1], e, ctx.modulus, p)
+        assert ctx.exp[e] == _packed(f, p)
+        assert ctx.log[ctx.exp[e]] == e
+        one_plus = _ptrim([((f[0] if f else 0) + 1) % p] + f[1:])
+        z = ctx.zech[e]
+        if one_plus:
+            assert z >= 0 and _ppowmod([0, 1], z, ctx.modulus, p) == one_plus
+        else:
+            assert z == ZERO
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),

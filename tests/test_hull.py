@@ -6,7 +6,7 @@ from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, RankDeficient, dual_generator,
                            gram, gram_euclidean, gram_hermitian,
-                           hull_dim, hull_dim_bruteforce, hull_report)
+                           hull_dim_bruteforce, hull_report)
 from grlcodes.linalg import Matrix, conj_transpose, mat_mul, rank, transpose
 
 
@@ -82,7 +82,7 @@ def test_hermitian_gram_diagonal_plus_tail_when_k_divides_q_plus_1():
 
 
 def test_hull_dim_example_a1_is_lcd():
-    rep = hull_dim(example_a1_spec(), EUCLIDEAN)
+    rep = hull_report(build_generator(example_a1_spec()), EUCLIDEAN)
     assert rep.hull_dim == 0 and rep.is_lcd and rep.gram_rank == 5
 
 
@@ -107,7 +107,7 @@ def test_hull_dim_one_when_corner_cancels():
     spec = GrlSpec(ctx=ctx,
                    alpha=[ctx.element(step * i + delta) for i in range(1, 5)],
                    v=[ctx.one()] * 4, a=found, k=4)
-    rep = hull_dim(spec, EUCLIDEAN)
+    rep = hull_report(build_generator(spec), EUCLIDEAN)
     assert rep.hull_dim == 1 and not rep.is_lcd
     assert hull_dim_bruteforce(build_generator(spec), EUCLIDEAN) == 1
 
@@ -123,7 +123,7 @@ def test_hermitian_hull_attains_tail_width():
     spec = GrlSpec(ctx=ctx,
                    alpha=[ctx.element(step * i + delta) for i in range(1, 6)],
                    v=[ctx.one()] * 5, a=a, k=k)
-    rep = hull_dim(spec, HERMITIAN)
+    rep = hull_report(build_generator(spec), HERMITIAN)
     assert rep.hull_dim == 3
     assert hull_dim_bruteforce(build_generator(spec), HERMITIAN) == 3
 
