@@ -18,11 +18,9 @@ from . import __version__
 from .appendix import run_appendix
 from .classify import classify
 from .counting import brute_quadric_count, count_nf, count_nf_star
-from .eaqecc import derive
 from .families import FamilyParams, audit, family_ctx, sample_invertible, sweep
 from .gf import GrlError, field_from_str
 from .grl import GrlSpec
-from .hull import EUCLIDEAN, HERMITIAN
 from .nongrs import nongrs_certificate
 
 import random
@@ -153,18 +151,15 @@ def cmd_nongrs(args):
 def cmd_eaqecc(args):
     spec = _load_spec(args.spec)
     rep = classify(spec)
-    inners = [EUCLIDEAN]
-    if rep.hull_h is not None:
-        inners.append(HERMITIAN)
     if args.csv:
         print("n,kq,d,c,mds")
-        for inner in inners:
-            for t in derive(rep, inner):
+        for pair in rep.eaqecc.values():
+            for t in pair:
                 print(t.csv_row())
         return 0
     payload = {"manifest": _manifest(args, spec.ctx),
-               "eaqecc": {inner: [t.to_json_dict() for t in derive(rep, inner)]
-                          for inner in inners}}
+               "eaqecc": {inner: [t.to_json_dict() for t in pair]
+                          for inner, pair in rep.eaqecc.items()}}
     _emit(args, payload)
     return 0
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .gf import (FIELD_SIZE_CAP, ZERO, FieldCtx, FieldTooLarge, GrlError,
-                 NotADivisor, field_new, prime_factors, quadratic_character,
-                 v_p)
+                 NotADivisor, field_new, prime_factors, v_p)
 from .grl import (DistinctnessViolation, GrlSpec, InvariantViolation,
                   build_generator)
 from .hull import EUCLIDEAN, HERMITIAN, hull_report
@@ -160,59 +159,93 @@ def build_spec(params: FamilyParams) -> GrlSpec:
 # -- hypothesis helpers --
 
 
-def _corner_sum_e(params):
-    """sum of a_1i^2 over the first row of A."""
-    ctx = params.ctx
+def _row_norm_sum(ctx, xs, e):
+    """sum of x^e over xs: e = 2 (Euclidean) or 1+q (Hermitian)."""
     acc = ZERO
-    for x in params.a.data[0]:
-        acc = ctx.add(acc, ctx.mul(x, x))
+    for x in xs:
+        acc = ctx.add(acc, ctx.pow(x, e))
     return acc
 
 
-def _corner_sum_h(params):
-    """sum of a_1i^{1+q} over the first row of A."""
+def _root(c, e):
+    """x with x^e = c, read off the logarithm; None when e does not
+    divide it (a non-square, or a non-norm outside the base field)."""
+    if c == ZERO:
+        return ZERO
+    return c // e if c % e == 0 else None
+
+
+def _shape_gap(params):
+    """Why the block shifts admit no claim at all, or None; assumes k
+    divides the group order."""
+    fam, q, k = params.family, params.q, params.k
+    if fam in ("E3", "H3") and \
+            (params.s - params.t) % (group_order(params) // k) == 0:
+        order = "(q-1)" if fam == "E3" else "(q^2-1)"
+        return f"blocks collide: {order}/k divides s-t"
+    if fam == "E4" and q - 1 in (k, 2 * k, 3 * k):
+        return "q-1 in {k, 2k, 3k}"
+    if fam == "H4" and not 1 <= params.delta <= q:
+        return "need 1 <= delta <= q"
+    return None
+
+
+def _block_corner(params):
+    """X = sum of gamma^(shift * unit) over the block shifts: the share of
+    the evaluation blocks in the Gram corner k*X + sum a_1i^e.  None when
+    there is no corner: k must divide q-1 (for H-families the
+    anti-diagonal regime) and the blocks must fit."""
+    q, k, l = params.q, params.k, params.l
+    if (q - 1) % k or _shape_gap(params):
+        return None
+    if params.family in EUCLIDEAN_FAMILIES:
+        unit = k
+    elif params.family == "H4":
+        unit = l + (k - l) * q
+    else:
+        unit = (k - l) + l * q
     ctx = params.ctx
-    q = ctx.base_q
-    acc = ZERO
-    for x in params.a.data[0]:
-        acc = ctx.add(acc, ctx.mul(x, ctx.pow(x, q)))
-    return acc
+    x = ZERO
+    for shift in _shift_list(params):
+        x = ctx.add(x, ctx.element(shift * unit))
+    return x
+
+
+def _corner(params, w):
+    """The Gram corner k*X + sum a_1i^e, recorded in the witnesses (with X
+    as theta for the E-families)."""
+    ctx = params.ctx
+    x = _block_corner(params)
+    euclid = params.family in EUCLIDEAN_FAMILIES
+    corner = ctx.add(ctx.mul(ctx.from_int(params.k), x),
+                     _row_norm_sum(ctx, params.a.data[0],
+                                   2 if euclid else 1 + params.q))
+    if euclid:
+        w["theta"] = ctx.fmt(x)
+    w["corner"] = ctx.fmt(corner)
+    return corner
 
 
 def delta_conditions(q: int, k: int, delta: int) -> list[int]:
     """Which of the five (q-1, k, delta) valuation conditions hold for the
-    two-block family with shifts (0, delta); empty list means none."""
+    two-block family with shifts (0, delta); empty list means none.  Each
+    condition needs delta to be 1 or a positive prime power."""
+    if delta < 1:
+        return []
     out = []
     a2, b2 = v_p(q - 1, 2), v_p(k, 2)
     odd_primes = [pp for pp in prime_factors(q - 1) if pp != 2]
     diff2 = a2 - b2
-    # factor delta as an odd-prime power if possible
-    odd_base = None
-    if delta >= 1:
-        d = delta
-        for pp in range(3, delta + 1, 2):
-            if d % pp == 0:
-                e = 0
-                while d % pp == 0:
-                    d //= pp
-                    e += 1
-                odd_base = (pp, e) if d == 1 else None
-                break
-    two_exp = None
-    d = delta
-    e = 0
-    while d % 2 == 0:
-        d //= 2
-        e += 1
-    if d == 1:
-        two_exp = e
+    d_primes = prime_factors(delta)
+    two_exp = v_p(delta, 2) if d_primes in ([], [2]) else None
     if two_exp is not None and two_exp >= 1 and b2 == a2 >= 1:
         out.append(1)
     if two_exp is not None and b2 < a2 and 0 <= two_exp <= diff2 - 2:
         out.append(2)
-    if odd_base is not None and diff2 != 1:
-        pp, e = odd_base
-        if v_p(q - 1, pp) == v_p(k, pp) and e >= v_p(q - 1, pp) + 1:
+    if len(d_primes) == 1 and d_primes[0] != 2 and diff2 != 1:
+        pp = d_primes[0]
+        if v_p(q - 1, pp) == v_p(k, pp) and \
+                v_p(delta, pp) >= v_p(q - 1, pp) + 1:
             out.append(3)
     if two_exp is not None and two_exp >= a2:
         if any(v_p(k, pp) < v_p(q - 1, pp) for pp in odd_primes):
@@ -220,10 +253,8 @@ def delta_conditions(q: int, k: int, delta: int) -> list[int]:
     if diff2 != 1:
         for pp in odd_primes:
             ediff = v_p(q - 1, pp) - v_p(k, pp)
-            if ediff < 1:
-                continue
-            target = v_p(delta, pp) if delta % pp == 0 else 0
-            if delta == pp ** target and 0 <= target <= ediff - 1:
+            if ediff >= 1 and d_primes in ([], [pp]) and \
+                    v_p(delta, pp) <= ediff - 1:
                 out.append(5)
                 break
     return out
@@ -231,6 +262,37 @@ def delta_conditions(q: int, k: int, delta: int) -> list[int]:
 
 def _none(clause, **w):
     return Prediction(claim="none", value=None, clause=clause, witnesses=w)
+
+
+# -- clause ladders; w carries the narrow/half tail flags --
+
+
+def _lcd_clause(prefix, corner, w):
+    """LCD if the tail is narrow, or half-width with a nonzero corner."""
+    if w["narrow"]:
+        return Prediction("lcd", 0, f"{prefix} narrow tail", w)
+    if w["half"] and corner != ZERO:
+        return Prediction("lcd", 0, f"{prefix} corner nonzero", w)
+    return None
+
+
+def _lcd_or_hull1(prefix, corner, w, wide="tail wider than k/2"):
+    """The LCD clause, otherwise hull 1 on the half-width tail (whose
+    corner then vanishes)."""
+    if not (w["narrow"] or w["half"]):
+        return _none(wide, **w)
+    return _lcd_clause(prefix, corner, w) or \
+        Prediction("hull_eq", 1, f"{prefix} corner zero", w)
+
+
+def _hull1_or_hull2(prefix, corner, w):
+    """Hull 1, or hull 2 when the half-width corner vanishes; the ladder
+    when p divides the block count."""
+    if w["narrow"] or (w["half"] and corner != ZERO):
+        return Prediction("hull_eq", 1, prefix, w)
+    if w["half"]:
+        return Prediction("hull_eq", 2, f"{prefix}, corner zero", w)
+    return _none("tail wider than k/2", **w)
 
 
 def predict(params: FamilyParams) -> Prediction:
@@ -248,51 +310,22 @@ def _predict_euclidean(params):
     fam = params.family
     if (q - 1) % k:
         return _none("k must divide q-1")
-    narrow = 2 * l < k
-    half = 2 * l == k
-    w = {"narrow": narrow, "half": half}
+    w = {"narrow": 2 * l < k, "half": 2 * l == k}
+    gap = _shape_gap(params)
+    if gap:
+        return _none(gap, **w)
+    corner = _corner(params, w)
 
     if fam == "E1":
-        theta = ctx.element(params.delta * k)
-    elif fam == "E2":
-        theta = ctx.element(params.delta * k)
-    elif fam == "E3":
-        if (params.s - params.t) % ((q - 1) // k) == 0:
-            return _none("blocks collide: (q-1)/k divides s-t", **w)
-        theta = ctx.add(ctx.element(params.s * k), ctx.element(params.t * k))
-    else:  # E4
-        if q - 1 in (k, 2 * k, 3 * k):
-            return _none("q-1 in {k, 2k, 3k}", **w)
-        theta = ctx.add(ctx.add(ctx.one(), ctx.element(k)),
-                        ctx.element(2 * k))
-    corner = ctx.add(ctx.mul(ctx.from_int(k), theta), _corner_sum_e(params))
-    w["theta"] = ctx.fmt(theta)
-    w["corner"] = ctx.fmt(corner)
-
-    if fam == "E1":
-        if narrow:
-            return Prediction("lcd", 0, "single-block narrow tail", w)
-        if half:
-            if corner != ZERO:
-                return Prediction("lcd", 0, "single-block corner nonzero", w)
-            return Prediction("hull_eq", 1, "single-block corner zero", w)
-        return _none("tail wider than k/2", **w)
+        return _lcd_or_hull1("single-block", corner, w)
 
     if fam == "E2":
         p_div = (k + 1) % ctx.p == 0
         w["p_divides_k_plus_1"] = p_div
         if p_div:
-            if narrow or (half and corner != ZERO):
-                return Prediction("hull_eq", 1, "zero-point block, p | k+1", w)
-            if half:
-                return Prediction("hull_eq", 2,
-                                  "zero-point block, p | k+1, corner zero", w)
-            return _none("tail wider than k/2", **w)
-        if narrow:
-            return Prediction("lcd", 0, "zero-point block narrow tail", w)
-        if half and corner != ZERO:
-            return Prediction("lcd", 0, "zero-point block corner nonzero", w)
-        return _none("no clause for this tail/corner", **w)
+            return _hull1_or_hull2("zero-point block, p | k+1", corner, w)
+        return _lcd_clause("zero-point block", corner, w) or \
+            _none("no clause for this tail/corner", **w)
 
     if fam == "E3":
         diff = params.s - params.t
@@ -303,29 +336,15 @@ def _predict_euclidean(params):
             delta = params.t if params.s % (q - 1) == 0 else params.s
             conds = delta_conditions(q, k, delta)
             w["delta_conditions"] = conds
-        if v2_ok or conds:
-            if narrow:
-                return Prediction("lcd", 0, "two-block narrow tail", w)
-            if half and corner != ZERO:
-                return Prediction("lcd", 0, "two-block corner nonzero", w)
-        if conds and half and corner == ZERO:
-            return Prediction("hull_eq", 1, "two-block corner zero", w)
-        return _none("no clause fired", **w)
+        if conds:
+            return _lcd_or_hull1("two-block", corner, w, "no clause fired")
+        return (v2_ok and _lcd_clause("two-block", corner, w)) or \
+            _none("no clause fired", **w)
 
     # E4
     if ctx.p == 3:
-        if narrow or (half and corner != ZERO):
-            return Prediction("hull_eq", 1, "three-block, p = 3", w)
-        if half:
-            return Prediction("hull_eq", 2, "three-block, p = 3, corner zero", w)
-        return _none("tail wider than k/2", **w)
-    if narrow:
-        return Prediction("lcd", 0, "three-block narrow tail", w)
-    if half:
-        if corner != ZERO:
-            return Prediction("lcd", 0, "three-block corner nonzero", w)
-        return Prediction("hull_eq", 1, "three-block corner zero", w)
-    return _none("tail wider than k/2", **w)
+        return _hull1_or_hull2("three-block, p = 3", corner, w)
+    return _lcd_or_hull1("three-block", corner, w)
 
 
 def _predict_hermitian(params):
@@ -336,25 +355,15 @@ def _predict_hermitian(params):
         return _none("k must divide q^2-1")
     kq1 = (q - 1) % k == 0
     kq2 = (q + 1) % k == 0
-    narrow = 2 * l < k
-    half = 2 * l == k
-    w = {"narrow": narrow, "half": half, "k_div_q_minus_1": kq1,
+    w = {"narrow": 2 * l < k, "half": 2 * l == k, "k_div_q_minus_1": kq1,
          "k_div_q_plus_1": kq2}
-    exp_corner = (k - l) + l * q          # exponent at the Gram corner
+    gap = _shape_gap(params)
+    if gap:
+        return _none(gap, **w)
 
     if fam == "H1":
         if kq1:
-            gam = ctx.element(params.delta * exp_corner)
-            corner = ctx.add(ctx.mul(ctx.from_int(k), gam),
-                             _corner_sum_h(params))
-            w["corner"] = ctx.fmt(corner)
-            if narrow:
-                return Prediction("lcd", 0, "single-block narrow tail", w)
-            if half:
-                if corner != ZERO:
-                    return Prediction("lcd", 0, "single-block corner nonzero", w)
-                return Prediction("hull_eq", 1, "single-block corner zero", w)
-            return _none("tail wider than k/2", **w)
+            return _lcd_or_hull1("single-block", _corner(params, w), w)
         if kq2:
             return Prediction("hull_le", l, "single-block diagonal regime", w)
         return _none("k divides neither q-1 nor q+1", **w)
@@ -363,47 +372,25 @@ def _predict_hermitian(params):
         p_div = (k + 1) % ctx.p == 0
         w["p_divides_k_plus_1"] = p_div
         if kq1:
-            gam = ctx.element(params.delta * exp_corner)
-            corner = ctx.add(ctx.mul(ctx.from_int(k), gam),
-                             _corner_sum_h(params))
-            w["corner"] = ctx.fmt(corner)
+            corner = _corner(params, w)
             if p_div:
-                if narrow or (half and corner != ZERO):
-                    return Prediction("hull_eq", 1, "zero-point, p | k+1", w)
-                if half:
-                    return Prediction("hull_eq", 2,
-                                      "zero-point, p | k+1, corner zero", w)
-                return _none("tail wider than k/2", **w)
-            if narrow:
-                return Prediction("lcd", 0, "zero-point narrow tail", w)
-            if half and corner != ZERO:
-                return Prediction("lcd", 0, "zero-point corner nonzero", w)
-            return _none("no clause for this tail/corner", **w)
+                return _hull1_or_hull2("zero-point, p | k+1", corner, w)
+            return _lcd_clause("zero-point", corner, w) or \
+                _none("no clause for this tail/corner", **w)
         if kq2 and not p_div:
             return Prediction("hull_le", l, "zero-point diagonal regime", w)
         return _none("no clause fired", **w)
 
     if fam == "H3":
-        diff = params.s - params.t
-        if diff % (order // k) == 0:
-            return _none("blocks collide: (q^2-1)/k divides s-t", **w)
-        v2d = v_p(abs(diff), 2)
+        v2d = v_p(abs(params.s - params.t), 2)
         if kq1:
             tset = {v_p(order, 2) - 1 - v_p(i + (k - i) * q, 2)
                     for i in range(1, k)}
             w["T"] = sorted(tset)
             w["v2_of_shift_difference"] = v2d
-            if v2d not in tset:
-                gam = ctx.add(ctx.element(params.s * exp_corner),
-                              ctx.element(params.t * exp_corner))
-                corner = ctx.add(ctx.mul(ctx.from_int(k), gam),
-                                 _corner_sum_h(params))
-                w["corner"] = ctx.fmt(corner)
-                if narrow:
-                    return Prediction("lcd", 0, "two-block narrow tail", w)
-                if half and corner != ZERO:
-                    return Prediction("lcd", 0, "two-block corner nonzero", w)
-            return _none("no clause fired", **w)
+            pred = v2d not in tset and \
+                _lcd_clause("two-block", _corner(params, w), w)
+            return pred or _none("no clause fired", **w)
         if kq2:
             nset = {v_p(q - 1, 2) - v_p(i, 2) - 1 for i in range(1, k - l)}
             w["N_l"] = sorted(nset)
@@ -415,37 +402,20 @@ def _predict_hermitian(params):
 
     # H4
     delta = params.delta
-    if not 1 <= delta <= q:
-        return _none("need 1 <= delta <= q", **w)
     p_div = (delta + 1) % ctx.p == 0
     w["p_divides_delta_plus_1"] = p_div
     if kq1:
         svals = [i for i in range(1, k)
                  if (delta + 1) % (order // gcd(order, i + (k - i) * q)) == 0]
         w["S_1"] = svals
-        gam = ZERO
-        for j in range(delta + 1):
-            gam = ctx.add(gam, ctx.element(j * (l + (k - l) * q)))
-        corner = ctx.add(ctx.mul(ctx.from_int(k), gam), _corner_sum_h(params))
-        w["corner"] = ctx.fmt(corner)
-        if not svals:
-            if p_div:
-                if narrow or (half and corner != ZERO):
-                    return Prediction("hull_eq", 1, "multi-block, p | delta+1", w)
-                if half:
-                    return Prediction("hull_eq", 2,
-                                      "multi-block, p | delta+1, corner zero", w)
-                return _none("tail wider than k/2", **w)
-            if narrow:
-                return Prediction("lcd", 0, "multi-block narrow tail", w)
-            if half:
-                if corner != ZERO:
-                    return Prediction("lcd", 0, "multi-block corner nonzero", w)
-                return Prediction("hull_eq", 1, "multi-block corner zero", w)
-            return _none("tail wider than k/2", **w)
-        # nonempty S_1: the exact-dimension statement fails for special A
-        # (and for vanishing positions between l and k-l), so no claim.
-        return _none("vanishing anti-diagonal positions present", **w)
+        corner = _corner(params, w)
+        if svals:
+            # the exact-dimension statement fails for special A (and for
+            # vanishing positions between l and k-l), so no claim.
+            return _none("vanishing anti-diagonal positions present", **w)
+        if p_div:
+            return _hull1_or_hull2("multi-block, p | delta+1", corner, w)
+        return _lcd_or_hull1("multi-block", corner, w)
     if kq2:
         uvals = [i for i in range(1, k - l)
                  if (delta + 1) % (order // gcd(order, i * (q + 1))) == 0]
@@ -486,40 +456,16 @@ def sample_invertible(ctx: FieldCtx, l: int, rng: random.Random) -> Matrix:
             return a
 
 
-def _solve_square(ctx, c):
-    """x with x^2 = c, or None if c is a non-square."""
-    if c == ZERO:
-        return ZERO
-    if quadratic_character(ctx, c) != 1:
-        return None
-    return c // 2 if c % 2 == 0 else None
-
-
-def _solve_norm(ctx, c):
-    """x with x^{1+q} = c over GF(q^2); None only if impossible."""
-    if c == ZERO:
-        return ZERO
-    q = ctx.base_q
-    if c % (q + 1):
-        return None  # c outside the base field: no norm preimage
-    return c // (q + 1)
-
-
 def sample_first_row_sum(ctx: FieldCtx, l: int, target: int,
                          rng: random.Random, hermitian: bool,
                          tries: int = 200) -> Matrix | None:
     """Invertible A whose first row satisfies sum a_1i^2 = target
     (Euclidean) or sum a_1i^{1+q} = target (Hermitian); None on failure."""
     els = [ZERO] + list(ctx.nonzero_elements())
-    solve = _solve_norm if hermitian else _solve_square
-    q = ctx.base_q if hermitian else None
+    e = 1 + ctx.base_q if hermitian else 2
     for _ in range(tries):
         head = [rng.choice(els) for _ in range(l - 1)]
-        acc = ZERO
-        for x in head:
-            term = ctx.mul(x, ctx.pow(x, q)) if hermitian else ctx.mul(x, x)
-            acc = ctx.add(acc, term)
-        last = solve(ctx, ctx.sub(target, acc))
+        last = _root(ctx.sub(target, _row_norm_sum(ctx, head, e)), e)
         if last is None:
             continue
         row = head + [last]
@@ -635,25 +581,8 @@ def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
 
 def _corner_target(params):
     """Value the first-row sum must take so the Gram corner vanishes."""
-    ctx = params.ctx
-    pred = predict(params)
-    theta = pred.witnesses.get("theta")
-    fam = params.family
-    k, l, q = params.k, params.l, params.q
-    if fam in EUCLIDEAN_FAMILIES:
-        if theta is None:
-            return None
-        return ctx.neg(ctx.mul(ctx.from_int(k), ctx.parse(theta)))
-    if (q - 1) % k:
+    x = _block_corner(params)
+    if x is None:
         return None
-    exp_corner = (k - l) + l * q
-    if fam == "H1" or fam == "H2":
-        gam = ctx.element(params.delta * exp_corner)
-    elif fam == "H3":
-        gam = ctx.add(ctx.element(params.s * exp_corner),
-                      ctx.element(params.t * exp_corner))
-    else:
-        gam = ZERO
-        for j in range(params.delta + 1):
-            gam = ctx.add(gam, ctx.element(j * (l + (k - l) * q)))
-    return ctx.neg(ctx.mul(ctx.from_int(k), gam))
+    ctx = params.ctx
+    return ctx.neg(ctx.mul(ctx.from_int(params.k), x))

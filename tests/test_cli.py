@@ -137,6 +137,24 @@ def test_sweep_two_block_cell_needs_shifts(capsys):
     assert rc == 0 and out["all_passed"] and out["count"] == 2
 
 
+def test_eaqecc_csv_lists_euclidean_then_hermitian(a1_spec_file, capsys):
+    rc = main(["eaqecc", "--spec", a1_spec_file, "--csv"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out == ["n,kq,d,c,mds"] + ["7,5,3,2,1", "7,2,6,5,1"] * 2
+
+
+def test_sweep_two_block_cell_negative_shift(capsys):
+    # t = -3 is no delta for the valuation conditions; the v2 clause decides
+    rc = main(["sweep", "--family", "E3", "--q", "49", "--k", "4", "--l", "2",
+               "--s", "48", "--t", "-3", "--samples", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["all_passed"] and out["count"] == 1
+    pred = out["audits"][0]["prediction"]
+    assert (pred["claim"], pred["clause"]) == ("lcd", "two-block corner nonzero")
+    assert pred["witnesses"]["delta_conditions"] == []
+
+
 def test_report_hermitian_spec(tmp_path, capsys):
     spec = {
         "field": "3^4", "k": 8, "l": 2,

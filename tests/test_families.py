@@ -1,14 +1,18 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from grlcodes.families import (FamilyParams, NoClaim, audit, build_spec,
-                               delta_conditions, diag_powers, family_ctx,
-                               make_alpha, predict, sample_first_row_sum,
-                               sample_invertible, sweep)
+from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
+                               HERMITIAN_FAMILIES, FamilyParams, NoClaim,
+                               _corner_target, audit, build_spec,
+                               corpus_cells, delta_conditions, diag_powers,
+                               family_ctx, make_alpha, predict,
+                               sample_first_row_sum, sample_invertible, sweep)
 from grlcodes.gf import ZERO
 from grlcodes.grl import DistinctnessViolation, build_generator
-from grlcodes.hull import HERMITIAN, gram
+from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram
 from grlcodes.linalg import Matrix
 
 
@@ -114,6 +118,8 @@ def test_delta_conditions_example_values():
     # q = 49, k = 6: v2(48)-v2(6) = 3, v3(48) = 1 = v3(6), delta = 9 = 3^{1+1}
     assert 3 in delta_conditions(49, 6, 9)
     assert delta_conditions(25, 8, 3) == []
+    # every condition needs delta to be 1 or a positive prime power
+    assert delta_conditions(81, 4, 0) == []
 
 
 def test_five_condition_triples_keep_theta_nonzero():
@@ -221,17 +227,74 @@ def test_sweep_budget_marker():
     assert exhausted and len(recs) == 5
 
 
-@pytest.mark.parametrize("family", ["E1", "E2", "E3", "E4"])
-def test_family_audits_all_pass_euclidean(family):
+def _records_sha256(recs):
+    text = json.dumps([r.to_json_dict() for r in recs], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each family sweep's sorted-key JSON records
+SWEEP_SHA256 = {
+    "E1": "c90972da52eab64d755bf9c47ea0d49ffbd2f15617d25fe6a110a6f93ebe1f1f",
+    "E2": "9cc83ba1b86ffae1ca597ebeccabfdbd6ad5f1aa0f8cc02ecaa4f6c3a51ad225",
+    "E3": "38d890e01078dc927c419b72fb22acbc19c9de357be143fc8ba8abe731399cd6",
+    "E4": "00a722beeab512a3dda6581b66f2741166e97c4718ca7a95e7d33e6abb406978",
+    "H1": "ba4c6e0a1542e06e0d32331fcff500e849a49472c380a9a322fadf1bc887976b",
+    "H2": "0cf5aa43b1e9a385d723348ccb10199889e0334f25ceb431849325a3a32c39d1",
+    "H3": "f03919060b94d5c2f46db64772e0a4302de560148b2b672ecd246cac1d5df2bc",
+    "H4": "cefdd01d4a7b955ece9a303a9fcb421c20fd58f6e5417dd195a9e111bc8ffdbf",
+}
+
+
+@pytest.mark.parametrize("family,digest",
+                         [(f, SWEEP_SHA256[f]) for f in EUCLIDEAN_FAMILIES],
+                         ids=EUCLIDEAN_FAMILIES)
+def test_family_audits_all_pass_euclidean(family, digest):
     recs, _ = sweep(family, qs=(25, 81), samples=2, seed=11)
     assert recs, family
     bad = [r for r in recs if not r.passed]
     assert not bad, bad[:3]
+    assert _records_sha256(recs) == digest
 
 
-@pytest.mark.parametrize("family", ["H1", "H2", "H3", "H4"])
-def test_family_audits_all_pass_hermitian(family):
+@pytest.mark.parametrize("family,digest",
+                         [(f, SWEEP_SHA256[f]) for f in HERMITIAN_FAMILIES],
+                         ids=HERMITIAN_FAMILIES)
+def test_family_audits_all_pass_hermitian(family, digest):
     recs, _ = sweep(family, qs=(3, 5, 9), samples=2, seed=13)
     assert recs, family
     bad = [r for r in recs if not r.passed]
     assert not bad, bad[:3]
+    assert _records_sha256(recs) == digest
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_corner_witness_is_the_gram_entry(family):
+    # on every half-tail corpus cell the predicted corner k*X + sum a_1i^e
+    # is entry (k-l, k-l) of the Gram matrix, and the corner target of the
+    # sweep's probe makes that entry vanish
+    inner = EUCLIDEAN if family in EUCLIDEAN_FAMILIES else HERMITIAN
+    rng = random.Random(17)
+    checked = zeroed = 0
+    for q, k, l, shifts in corpus_cells(family):
+        if 2 * l != k:
+            continue
+        ctx = family_ctx(family, q)
+        p = FamilyParams(family=family, q=q, k=k, l=l,
+                         a=sample_invertible(ctx, l, rng), **shifts)
+        corner = predict(p).witnesses.get("corner")
+        if corner is None:
+            continue
+        g = gram(build_generator(build_spec(p)), inner)
+        assert ctx.fmt(g.data[k - l][k - l]) == corner, (q, k, l, shifts)
+        checked += 1
+        target = _corner_target(p)
+        assert target is not None, (q, k, l, shifts)
+        a = sample_first_row_sum(ctx, l, target, rng, inner == HERMITIAN)
+        if a is None:
+            continue
+        p0 = FamilyParams(family=family, q=q, k=k, l=l, a=a, **shifts)
+        g0 = gram(build_generator(build_spec(p0)), inner)
+        assert g0.data[k - l][k - l] == ZERO, (q, k, l, shifts)
+        assert predict(p0).witnesses["corner"] == "0"
+        zeroed += 1
+    assert checked and zeroed == checked, (checked, zeroed)
