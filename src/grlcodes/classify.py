@@ -38,16 +38,18 @@ class BudgetExceeded(GrlError):
 
 
 class _Counter:
-    __slots__ = ("left", "completed")
+    """Search steps left; `completed` is the largest size ruled out."""
+    __slots__ = ("budget", "left", "completed")
 
     def __init__(self, budget):
+        self.budget = budget
         self.left = budget
         self.completed = 0
 
     def tick(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceeded(self.completed + 1, 0)
+            raise BudgetExceeded(self.completed + 1, self.budget)
 
 
 def _reduce(ctx, vec, basis):
@@ -117,11 +119,8 @@ def _min_dependent_columns(ctx, cols, nrows, budget):
     """Smallest w with w dependent columns; nrows+1 if none at w <= nrows."""
     counter = _Counter(budget)
     for w in range(1, nrows + 1):
-        try:
-            if _dfs_exact(ctx, cols, [], 0, w, counter):
-                return w
-        except BudgetExceeded:
-            raise BudgetExceeded(counter.completed + 1, budget) from None
+        if _dfs_exact(ctx, cols, [], 0, w, counter):
+            return w
         counter.completed = w
     return nrows + 1
 
@@ -173,7 +172,6 @@ def grl_min_distance(spec: GrlSpec) -> int:
     roots of f among alpha plus tail coordinates killed through A.  Only
     root counts m in [k-l, k-1] can beat the trivial m = k-1 pattern.
     """
-    spec.validate()
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     best = k - 1
     top = min(k - 1, n)
@@ -207,35 +205,24 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Exact dual distance: smallest dependent column set of the
     generator.  Any <= k evaluation columns are independent (scaled
     Vandermonde on distinct points), so every dependent set of size
-    <= k must use a tail column; tail parts are enumerated exactly."""
+    <= k must use a tail column; tail parts are enumerated exactly.  The
+    tail columns carry A in GL_l, so they are independent and each
+    dependency also takes at least one evaluation column."""
     g = build_generator(spec)
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     acols = [g.col(j) for j in range(n)]
     tcols = [g.col(n + u) for u in range(l)]
     counter = _Counter(budget)
     for w in range(1, k + 1):
-        for b in range(max(1, w - n), min(l, w) + 1):
+        for b in range(max(1, w - n), min(l, w - 1) + 1):
             for tails in combinations(range(l), b):
                 basis = []
-                dep_at = None
-                for i, u in enumerate(tails):
+                for u in tails:
                     r = _reduce(ctx, tcols[u], basis)
                     p = _first_nonzero(r)
-                    if p < 0:
-                        dep_at = i + 1
-                        break
                     basis = _insert(basis, p, _normalized(ctx, r, p))
-                if dep_at is not None:
-                    if dep_at == w:
-                        return w
-                    continue
-                if b == w:
-                    continue
-                try:
-                    if _dfs_exact(ctx, acols, basis, 0, w - b, counter):
-                        return w
-                except BudgetExceeded:
-                    raise BudgetExceeded(counter.completed + 1, budget) from None
+                if _dfs_exact(ctx, acols, basis, 0, w - b, counter):
+                    return w
         counter.completed = w
     return k + 1
 
@@ -298,8 +285,6 @@ def _label(defect, defect_dual):
 def classify(spec: GrlSpec, with_nongrs: bool = False,
              budget: int = DEFAULT_BUDGET) -> CodeReport:
     """Full report: distances, defect labels, hulls, EAQECC parameters."""
-    spec.validate()
-    g = build_generator(spec)
     nn = spec.length
     d = grl_min_distance(spec)
     dd = dual_min_distance(spec, budget)
@@ -310,9 +295,9 @@ def classify(spec: GrlSpec, with_nongrs: bool = False,
         defect_dual=defect_dual, label=_label(defect, defect_dual),
         field=spec.ctx.field_str(), modulus=list(spec.ctx.modulus),
     )
-    rep.hull_e = hull_report(g, EUCLIDEAN)
+    rep.hull_e = hull_report(spec, EUCLIDEAN)
     if spec.ctx.m % 2 == 0:
-        rep.hull_h = hull_report(g, HERMITIAN)
+        rep.hull_h = hull_report(spec, HERMITIAN)
     rep.eaqecc[EUCLIDEAN] = eaqecc.derive(rep, EUCLIDEAN)
     if rep.hull_h is not None:
         rep.eaqecc[HERMITIAN] = eaqecc.derive(rep, HERMITIAN)

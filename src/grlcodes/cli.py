@@ -13,12 +13,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .appendix import run_appendix
 from .classify import classify
 from .counting import brute_quadric_count, count_nf, count_nf_star
-from .families import FamilyParams, audit, family_ctx, sample_invertible, sweep
+from .families import (FamilyParams, NoClaim, audit, family_ctx,
+                       precondition_gap, sample_invertible, sweep)
 from .gf import GrlError, field_from_str
 from .grl import GrlSpec
 from .nongrs import nongrs_certificate
@@ -96,11 +98,14 @@ def cmd_sweep(args):
             shifts = {"s": args.s, "t": args.t}
         elif args.family != "E4":
             shifts = {"delta": args.delta if args.delta is not None else 1}
+        cell = FamilyParams(family=args.family, q=args.q, k=args.k,
+                            l=args.l, a=None, **shifts)
+        gap, _ = precondition_gap(cell)
+        if gap:  # before any A is drawn: a wide tail is slow to sample
+            raise NoClaim(gap)
         for _ in range(args.samples):
             a = sample_invertible(ctx, args.l, rng)
-            params = FamilyParams(family=args.family, q=args.q, k=args.k,
-                                  l=args.l, a=a, **shifts)
-            records.append(audit(params))
+            records.append(audit(replace(cell, a=a)))
         exhausted = False
     else:
         records, exhausted = sweep(args.family, qs=(args.q,),

@@ -30,8 +30,7 @@ from math import gcd
 
 from .gf import (FIELD_SIZE_CAP, ZERO, FieldCtx, FieldTooLarge, GrlError,
                  NotADivisor, field_new, prime_factors, v_p)
-from .grl import (DistinctnessViolation, GrlSpec, InvariantViolation,
-                  build_generator)
+from .grl import DistinctnessViolation, GrlSpec, InvariantViolation
 from .hull import EUCLIDEAN, HERMITIAN, hull_report
 from .linalg import Matrix, rank
 
@@ -41,7 +40,8 @@ FAMILIES = EUCLIDEAN_FAMILIES + HERMITIAN_FAMILIES
 
 
 class NoClaim(GrlError):
-    pass
+    def __init__(self, clause: str):
+        super().__init__(f"no theorem claim applies: {clause}")
 
 
 @dataclass
@@ -295,25 +295,37 @@ def _hull1_or_hull2(prefix, corner, w):
     return _none("tail wider than k/2", **w)
 
 
+def precondition_gap(params: FamilyParams):
+    """The clause of the first hypothesis that fails whatever A is (2 <= l
+    <= k, k divides the group order, the block shapes) or None, and the
+    shape witnesses once k divides the group order.  Reads no A."""
+    q, k, l = params.q, params.k, params.l
+    if not 2 <= l <= k:
+        return "need 2 <= l <= k", {}
+    if group_order(params) % k:
+        euclid = params.family in EUCLIDEAN_FAMILIES
+        return f"k must divide {'q-1' if euclid else 'q^2-1'}", {}
+    w = {"narrow": 2 * l < k, "half": 2 * l == k}
+    if params.family in HERMITIAN_FAMILIES:
+        w["k_div_q_minus_1"] = (q - 1) % k == 0
+        w["k_div_q_plus_1"] = (q + 1) % k == 0
+    return _shape_gap(params), w
+
+
 def predict(params: FamilyParams) -> Prediction:
     """Strongest theorem claim whose hypotheses all hold, with every
     evaluated term attached as a witness; 'none' is a valid outcome."""
-    if not 2 <= params.l <= params.k:
-        return _none("need 2 <= l <= k")
-    if params.family in EUCLIDEAN_FAMILIES:
-        return _predict_euclidean(params)
-    return _predict_hermitian(params)
-
-
-def _predict_euclidean(params):
-    ctx, q, k, l = params.ctx, params.q, params.k, params.l
-    fam = params.family
-    if (q - 1) % k:
-        return _none("k must divide q-1")
-    w = {"narrow": 2 * l < k, "half": 2 * l == k}
-    gap = _shape_gap(params)
+    gap, w = precondition_gap(params)
     if gap:
         return _none(gap, **w)
+    if params.family in EUCLIDEAN_FAMILIES:
+        return _predict_euclidean(params, w)
+    return _predict_hermitian(params, w)
+
+
+def _predict_euclidean(params, w):
+    ctx, q, k = params.ctx, params.q, params.k
+    fam = params.family
     corner = _corner(params, w)
 
     if fam == "E1":
@@ -347,19 +359,11 @@ def _predict_euclidean(params):
     return _lcd_or_hull1("three-block", corner, w)
 
 
-def _predict_hermitian(params):
+def _predict_hermitian(params, w):
     ctx, q, k, l = params.ctx, params.q, params.k, params.l
     fam = params.family
     order = q * q - 1
-    if order % k:
-        return _none("k must divide q^2-1")
-    kq1 = (q - 1) % k == 0
-    kq2 = (q + 1) % k == 0
-    w = {"narrow": 2 * l < k, "half": 2 * l == k, "k_div_q_minus_1": kq1,
-         "k_div_q_plus_1": kq2}
-    gap = _shape_gap(params)
-    if gap:
-        return _none(gap, **w)
+    kq1, kq2 = w["k_div_q_minus_1"], w["k_div_q_plus_1"]
 
     if fam == "H1":
         if kq1:
@@ -430,10 +434,9 @@ def audit(params: FamilyParams) -> AuditRecord:
     """Build the code, compute the hull, compare against the prediction."""
     pred = predict(params)
     if pred.claim == "none":
-        raise NoClaim(f"no theorem claim applies: {pred.clause}")
-    spec = build_spec(params)
+        raise NoClaim(pred.clause)
     inner = EUCLIDEAN if params.family in EUCLIDEAN_FAMILIES else HERMITIAN
-    computed = hull_report(build_generator(spec), inner).hull_dim
+    computed = hull_report(build_spec(params), inner).hull_dim
     if pred.claim == "lcd":
         passed = computed == 0
     elif pred.claim == "hull_eq":

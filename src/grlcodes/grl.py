@@ -52,7 +52,9 @@ class GrlSpec:
     def length(self) -> int:
         return self.n + self.l
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Every GrlSpec is valid: the hull, dual and distance engines rely
+        on a full-rank generator, which these invariants guarantee."""
         reasons = []
         l, k, n, q = self.l, self.k, self.n, self.ctx.q
         if self.a.rows != self.a.cols:
@@ -95,10 +97,9 @@ class GrlSpec:
         alpha = [ctx.parse(s) for s in d["alpha"]]
         v = [ctx.parse(s) for s in d.get("v") or ["g^0"] * len(alpha)]
         a = Matrix.from_strs(ctx, d["A"])
-        spec = cls(ctx=ctx, alpha=alpha, v=v, a=a, k=d["k"])
         if a.rows != d["l"]:
             raise InvariantViolation([f"A is {a.rows}x{a.cols} but l={d['l']}"])
-        return spec
+        return cls(ctx=ctx, alpha=alpha, v=v, a=a, k=d["k"])
 
     def with_unit_v(self) -> "GrlSpec":
         return GrlSpec(ctx=self.ctx, alpha=self.alpha, v=[0] * self.n,
@@ -106,8 +107,8 @@ class GrlSpec:
 
 
 def build_generator(spec: GrlSpec) -> Matrix:
-    """k x (n+l) generator: Vandermonde-type block, then the A tail."""
-    spec.validate()
+    """k x (n+l) generator of rank k: Vandermonde-type block, then the A
+    tail."""
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     rows = []
     for r in range(k):

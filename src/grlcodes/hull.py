@@ -1,17 +1,19 @@
 """Gram matrices, hull dimensions, LCD decisions, dual generators.
 
-For a full-rank generator G the hull dimension under either inner
-product is k - rank(Gram), where Gram is G G^T (Euclidean) or
-G conj(G)^T (Hermitian).  The brute-force path recomputes the hull as
-dim(C) + dim(C_perp) - rank of the stacked generators, independent of
-the Gram shortcut.
+A GrlSpec is valid when it is made, so its generator G has full rank k
+and the hull dimension under either inner product is k - rank(Gram),
+where Gram is G G^T (Euclidean) or G conj(G)^T (Hermitian); hull_report
+reads it off that rank alone.  hull_dim_bruteforce is the matrix-level
+oracle: it recomputes the hull as dim(C) + dim(C_perp) - rank of the
+stacked generators, independent of the Gram shortcut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import GrlError, NotASquareField
+from .gf import GrlError
+from .grl import GrlSpec, build_generator
 from .linalg import (Matrix, conj_transpose, conjugate, kernel_basis,
                      mat_mul, rank, stack, transpose)
 
@@ -37,38 +39,30 @@ class HullReport:
                 "is_lcd": self.is_lcd}
 
 
-def gram_euclidean(g: Matrix) -> Matrix:
-    return mat_mul(g, transpose(g))
-
-
-def gram_hermitian(g: Matrix) -> Matrix:
-    if g.ctx.m % 2 != 0:
-        raise NotASquareField("Hermitian Gram needs GF(q^2)")
-    return mat_mul(g, conj_transpose(g))
-
-
 def gram(g: Matrix, inner_product: str) -> Matrix:
+    """G G^T, or G conj(G)^T over GF(q^2)."""
     if inner_product == EUCLIDEAN:
-        return gram_euclidean(g)
+        return mat_mul(g, transpose(g))
     if inner_product == HERMITIAN:
-        return gram_hermitian(g)
+        return mat_mul(g, conj_transpose(g))
     raise GrlError(f"unknown inner product {inner_product!r}")
 
 
-def hull_report(g: Matrix, inner_product: str) -> HullReport:
-    if rank(g) != g.rows:
-        raise RankDeficient("generator matrix must have full row rank")
-    r = rank(gram(g, inner_product))
-    h = g.rows - r
+def hull_report(spec: GrlSpec, inner_product: str) -> HullReport:
+    """Hull of the spec's code: k - rank(Gram), no rank(G) needed since a
+    valid spec has a generator of rank k."""
+    r = rank(gram(build_generator(spec), inner_product))
+    h = spec.k - r
     return HullReport(inner_product=inner_product, gram_rank=r,
                       hull_dim=h, is_lcd=(h == 0))
 
 
 def dual_generator(g: Matrix, inner_product: str) -> Matrix:
-    """(N-k) x N generator of the dual code under the chosen product."""
-    if rank(g) != g.rows:
-        raise RankDeficient("generator matrix must have full row rank")
+    """(N-k) x N generator of the dual code under the chosen product;
+    RankDeficient unless g has full row rank k."""
     ker = kernel_basis(g)
+    if ker.rows != g.cols - g.rows:
+        raise RankDeficient("generator matrix must have full row rank")
     if inner_product == EUCLIDEAN:
         return ker
     if inner_product == HERMITIAN:

@@ -166,7 +166,6 @@ def exhaustive_grs_check(g: Matrix):
 def nongrs_certificate(spec: GrlSpec) -> NonGrsCertificate:
     """Ordered battery: Schur square, dual Schur square, Cauchy columns,
     exhaustive tiny search; first decisive method wins."""
-    spec.validate()
     g1 = build_generator(spec.with_unit_v())
     ctx, k, nn = spec.ctx, spec.k, spec.length
 

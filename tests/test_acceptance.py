@@ -209,15 +209,14 @@ def attain_spec(fam, q, k, l, shifts, exps):
 
 
 def attained_hull(fam, q, k, l, shifts, exps):
-    g = build_generator(attain_spec(fam, q, k, l, shifts, exps))
-    return hull_report(g, HERMITIAN).hull_dim
+    return hull_report(attain_spec(fam, q, k, l, shifts, exps),
+                       HERMITIAN).hull_dim
 
 
 def hermitian_hulls(spec):
     """(Gram-rank hull, intersection-oracle hull) of the spec's code."""
-    g = build_generator(spec)
-    return (hull_report(g, HERMITIAN).hull_dim,
-            hull_dim_bruteforce(g, HERMITIAN))
+    return (hull_report(spec, HERMITIAN).hull_dim,
+            hull_dim_bruteforce(build_generator(spec), HERMITIAN))
 
 
 def test_criterion_3_hull_bound_attainability():
@@ -362,7 +361,8 @@ def test_criterion_6_hull_oracle_equivalence():
         g = build_generator(row.spec)
         for inner in ([EUCLIDEAN, HERMITIAN] if row.spec.ctx.m % 2 == 0
                       else [EUCLIDEAN]):
-            if hull_report(g, inner).hull_dim != hull_dim_bruteforce(g, inner):
+            if hull_report(row.spec, inner).hull_dim != \
+                    hull_dim_bruteforce(g, inner):
                 mismatches.append((row.id, inner))
             checked += 1
     rng = random.Random(606)
@@ -384,7 +384,8 @@ def test_criterion_6_hull_oracle_equivalence():
         spec = GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=k)
         g = build_generator(spec)
         for inner in ([EUCLIDEAN, HERMITIAN] if m % 2 == 0 else [EUCLIDEAN]):
-            if hull_report(g, inner).hull_dim != hull_dim_bruteforce(g, inner):
+            if hull_report(spec, inner).hull_dim != \
+                    hull_dim_bruteforce(g, inner):
                 mismatches.append(("random", specs_done, inner))
         specs_done += 1
         checked += 1

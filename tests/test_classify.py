@@ -84,9 +84,12 @@ def test_budget_exceeded_carries_lower_bound():
     g = build_generator(spec)
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(g, budget=10)
-    assert exc.value.lower_bound >= 1
-    with pytest.raises(BudgetExceeded):
+    assert exc.value.lower_bound == 2 and exc.value.budget == 10
+    assert str(exc.value) == "distance search exceeded budget 10; d >= 2"
+    with pytest.raises(BudgetExceeded) as exc:
         dual_min_distance(spec, budget=3)
+    assert exc.value.lower_bound == 2 and exc.value.budget == 3
+    assert str(exc.value) == "distance search exceeded budget 3; d >= 2"
 
 
 def test_enum_guard():

@@ -1,4 +1,6 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -234,9 +236,26 @@ BAD_INPUTS = {
     "sweep-zero-samples": (["sweep", "--family", "E1", "--q", "81",
                             "--samples", "0"], None,
                            "E1 at q = 81 audited nothing"),
+    "sweep-cell-no-claim-wide-tail": (
+        CELL + ["--k", "2000", "--l", "1000", "--samples", "1"], None,
+        "no theorem claim applies: k must divide q-1"),
     "sweep-cell-zero-samples": (CELL + ["--k", "5", "--l", "2", "--samples",
                                         "0"], None, "audited nothing"),
 }
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging it, when the block overruns."""
+    def overrun(signum, frame):
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("argv,spec,needle", BAD_INPUTS.values(),
@@ -246,7 +265,8 @@ def test_input_error_exits_2_with_one_error_line(argv, spec, needle, tmp_path,
     path = tmp_path / "spec.json"
     path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     argv = [{SPEC: str(path), DIR: str(tmp_path)}.get(a, a) for a in argv]
-    rc = main(argv)
+    with _deadline(10):
+        rc = main(argv)
     out, err = capsys.readouterr()
     lines = err.splitlines()
     assert rc == 2 and out == ""

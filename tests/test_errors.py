@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import grlcodes
 from grlcodes.gf import ZERO, GrlError, field_new
-from grlcodes.grl import GrlSpec
+from grlcodes.grl import GrlSpec, build_generator
+from grlcodes.linalg import rank
 
 
 def _exception_classes():
@@ -65,23 +66,47 @@ def spec_like(draw):
     return d
 
 
+@st.composite
+def near_valid(draw):
+    """A GF(7) spec with distinct points whose A may be singular, v may hold
+    a zero and k may exceed n: valid often enough to exercise every check."""
+    els = ["0", "1", "g^1", "g^2", "g^3", "g^4", "g^5"]
+    alpha = draw(st.lists(st.sampled_from(els), min_size=2, max_size=7,
+                          unique=True))
+    l = draw(st.integers(2, 3))
+    row = st.lists(st.sampled_from(els[:4]), min_size=l, max_size=l)
+    return {"field": "7", "k": draw(st.integers(l, 5)), "l": l,
+            "alpha": alpha,
+            "v": draw(st.none() | st.lists(st.sampled_from(["0", "1", "g^3"]),
+                                           min_size=len(alpha),
+                                           max_size=len(alpha))),
+            "A": draw(st.lists(row, min_size=l, max_size=l))}
+
+
 SPEC = {"field": "7", "k": 3, "l": 2, "alpha": ["0", "1", "g^1", "g^2"],
         "A": [["1", "0"], ["0", "1"]]}
 
 
 @settings(max_examples=300, deadline=None)
-@given(spec_like() | json_values)
+@given(spec_like() | near_valid() | json_values)
 @example(SPEC)
 @example([SPEC])
 @example({**SPEC, "A": [5, 6]})
 @example({**SPEC, "A": ["10", "01"]})
 @example({**SPEC, "v": 5})
 def test_spec_from_json_returns_a_spec_or_raises_grl_error(value):
+    """Every spec that exists is valid: the guarantee the hull, dual and
+    distance engines rely on instead of re-proving rank(G)."""
     try:
         spec = GrlSpec.from_json_dict(value)
     except GrlError:
         return
     assert isinstance(spec, GrlSpec)
+    assert len(set(spec.alpha)) == spec.n
+    assert len(spec.v) == spec.n and ZERO not in spec.v
+    assert 2 <= spec.l <= spec.k <= spec.n <= spec.ctx.q
+    assert spec.a.cols == spec.l and rank(spec.a) == spec.l
+    assert rank(build_generator(spec)) == spec.k
 
 
 @settings(max_examples=300, deadline=None)

@@ -100,17 +100,14 @@ def test_spec_validation_errors():
     ctx = field_new(7)
     alpha = [ctx.element(e) for e in range(4)]
     bad_a = Matrix(ctx, [[0, 0], [0, 0]])  # singular: both rows are 1,1
-    spec = GrlSpec(ctx=ctx, alpha=alpha, v=unit_v(ctx, 4), a=bad_a, k=3)
     with pytest.raises(InvariantViolation, match="GL_l"):
-        spec.validate()
-    spec2 = GrlSpec(ctx=ctx, alpha=[0, 0, 1, 2], v=unit_v(ctx, 4),
-                    a=Matrix.identity(ctx, 2), k=3)
+        GrlSpec(ctx=ctx, alpha=alpha, v=unit_v(ctx, 4), a=bad_a, k=3)
     with pytest.raises(InvariantViolation, match="distinct"):
-        spec2.validate()
-    spec3 = GrlSpec(ctx=ctx, alpha=alpha, v=unit_v(ctx, 4),
-                    a=Matrix.identity(ctx, 2), k=5)
+        GrlSpec(ctx=ctx, alpha=[0, 0, 1, 2], v=unit_v(ctx, 4),
+                a=Matrix.identity(ctx, 2), k=3)
     with pytest.raises(InvariantViolation, match="k <= n"):
-        spec3.validate()
+        GrlSpec(ctx=ctx, alpha=alpha, v=unit_v(ctx, 4),
+                a=Matrix.identity(ctx, 2), k=5)
 
 
 def test_power_sum_small_cases():

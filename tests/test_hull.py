@@ -5,8 +5,7 @@ import pytest
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, RankDeficient, dual_generator,
-                           gram, gram_euclidean, gram_hermitian,
-                           hull_dim_bruteforce, hull_report)
+                           gram, hull_dim_bruteforce, hull_report)
 from grlcodes.linalg import Matrix, conj_transpose, mat_mul, rank, transpose
 
 
@@ -21,10 +20,15 @@ def example_a1_spec():
                      [["g^1", "g^2"], ["g^3", "g^5"]], 5)
 
 
+def gram_hull(g, inner):
+    """Hull of a full-rank generator from its Gram rank alone."""
+    return g.rows - rank(gram(g, inner))
+
+
 def test_gram_of_identity():
     ctx = field_new(7)
     g = Matrix.identity(ctx, 3)
-    assert gram_euclidean(g) == g
+    assert gram(g, EUCLIDEAN) == g
 
 
 def test_gram_structure_single_block_narrow_tail():
@@ -35,7 +39,7 @@ def test_gram_structure_single_block_narrow_tail():
     step = (q - 1) // k
     spec = unit_spec(ctx, [ctx.element(step * i + delta) for i in range(1, 9)],
                      [["g^0", "g^1"], ["g^2", "g^4"]], k)
-    gm = gram_euclidean(build_generator(spec))
+    gm = gram(build_generator(spec), EUCLIDEAN)
     theta = ctx.mul(ctx.element(delta * k), ctx.from_int(k))
     aat = mat_mul(spec.a, transpose(spec.a))
     for r in range(k):
@@ -56,9 +60,9 @@ def test_gram_symmetry_and_hermitian_self_conjugacy():
     els = list(ctx.elements())
     for _ in range(20):
         m = Matrix(ctx, [[rng.choice(els) for _ in range(5)] for _ in range(3)])
-        ge = gram_euclidean(m)
+        ge = gram(m, EUCLIDEAN)
         assert ge == transpose(ge)
-        gh = gram_hermitian(m)
+        gh = gram(m, HERMITIAN)
         assert gh == conj_transpose(gh)
 
 
@@ -69,7 +73,7 @@ def test_hermitian_gram_diagonal_plus_tail_when_k_divides_q_plus_1():
     step = ctx.n // k
     spec = unit_spec(ctx, [ctx.element(step * i + delta) for i in range(1, 5)],
                      [["g^1", "g^2"], ["g^3", "g^5"]], k)
-    gm = gram_hermitian(build_generator(spec))
+    gm = gram(build_generator(spec), HERMITIAN)
     tail = mat_mul(spec.a, conj_transpose(spec.a))
     for r in range(k):
         for c in range(k):
@@ -82,7 +86,7 @@ def test_hermitian_gram_diagonal_plus_tail_when_k_divides_q_plus_1():
 
 
 def test_hull_dim_example_a1_is_lcd():
-    rep = hull_report(build_generator(example_a1_spec()), EUCLIDEAN)
+    rep = hull_report(example_a1_spec(), EUCLIDEAN)
     assert rep.hull_dim == 0 and rep.is_lcd and rep.gram_rank == 5
 
 
@@ -107,7 +111,7 @@ def test_hull_dim_one_when_corner_cancels():
     spec = GrlSpec(ctx=ctx,
                    alpha=[ctx.element(step * i + delta) for i in range(1, 5)],
                    v=[ctx.one()] * 4, a=found, k=4)
-    rep = hull_report(build_generator(spec), EUCLIDEAN)
+    rep = hull_report(spec, EUCLIDEAN)
     assert rep.hull_dim == 1 and not rep.is_lcd
     assert hull_dim_bruteforce(build_generator(spec), EUCLIDEAN) == 1
 
@@ -123,7 +127,7 @@ def test_hermitian_hull_attains_tail_width():
     spec = GrlSpec(ctx=ctx,
                    alpha=[ctx.element(step * i + delta) for i in range(1, 6)],
                    v=[ctx.one()] * 5, a=a, k=k)
-    rep = hull_report(build_generator(spec), HERMITIAN)
+    rep = hull_report(spec, HERMITIAN)
     assert rep.hull_dim == 3
     assert hull_dim_bruteforce(build_generator(spec), HERMITIAN) == 3
 
@@ -160,18 +164,23 @@ def test_hull_of_dual_matches_hull_of_code():
                 continue
             for inner in inners:
                 h = dual_generator(g, inner)
-                hr_code = hull_report(g, inner)
-                hr_dual = hull_report(h, inner)
-                assert hr_code.hull_dim == hr_dual.hull_dim
-                assert hr_code.hull_dim == hull_dim_bruteforce(g, inner)
+                code_hull = gram_hull(g, inner)
+                assert code_hull == gram_hull(h, inner)
+                assert code_hull == hull_dim_bruteforce(g, inner)
+                assert gram_hull(h, inner) == hull_dim_bruteforce(h, inner)
 
 
 def test_self_orthogonal_single_row():
     ctx = field_new(5)
     # (1, 2) has 1 + 4 = 0: self-orthogonal, hull dim 1
     g = Matrix(ctx, [[0, ctx.log[2]]])
-    assert hull_report(g, EUCLIDEAN).hull_dim == 1
+    assert gram_hull(g, EUCLIDEAN) == 1
     assert hull_dim_bruteforce(g, EUCLIDEAN) == 1
+    h = dual_generator(g, EUCLIDEAN)
+    assert gram_hull(h, EUCLIDEAN) == hull_dim_bruteforce(h, EUCLIDEAN) == 1
     # LCD single row
     g2 = Matrix(ctx, [[0, 0]])
+    assert gram_hull(g2, EUCLIDEAN) == 0
     assert hull_dim_bruteforce(g2, EUCLIDEAN) == 0
+    h2 = dual_generator(g2, EUCLIDEAN)
+    assert gram_hull(h2, EUCLIDEAN) == hull_dim_bruteforce(h2, EUCLIDEAN) == 0
