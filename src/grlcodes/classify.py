@@ -1,17 +1,20 @@
 """Minimum distance, dual distance, Singleton defect, MDS/AMDS/NMDS labels.
 
-Three exact distance paths with different cost profiles:
+Production engines, one per quantity:
 
-* min_distance: smallest number of linearly dependent parity-check
-  columns, found by depth-first search over independent column subsets
-  in colex order with incremental elimination.  Cost is governed by the
-  number of subsets below the answer, so it suits small redundancy.
-* grl_min_distance: for evaluation codes with a coefficient tail, the
-  minimum weight equals length minus the largest achievable zero set
-  (roots among the points plus forced tail zeros), searched over root
-  subsets.  This handles long small-dimension codes the subset method
-  cannot touch.
-* enum_min_distance: full codeword enumeration, the oracle.
+* grl_min_distance (d): for evaluation codes with a coefficient tail,
+  the minimum weight equals length minus the largest achievable zero
+  set (roots among the points plus forced tail zeros), searched over
+  root subsets.
+* dual_min_distance (d-dual): the smallest dependent column set of the
+  generator, by the column search (depth-first over independent column
+  subsets in colex order, with incremental elimination), started at the
+  bound k - l + 2 that the generator's shape proves.
+
+Oracles:
+
+* min_distance: the same column search on a parity-check matrix, from 1.
+* enum_min_distance: full codeword enumeration.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .gf import ZERO, GrlError, TooLarge
 from .grl import GrlSpec, build_generator
 from .hull import EUCLIDEAN, HERMITIAN, dual_generator, hull_report
 from .linalg import Matrix, mat_mul, rank
-from .nongrs import nongrs_certificate
+from .nongrs import elementary_symmetric, nongrs_certificate
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -115,10 +118,12 @@ def _dfs_exact(ctx, cols, basis, start, remaining, counter):
     return False
 
 
-def _min_dependent_columns(ctx, cols, nrows, budget):
-    """Smallest w with w dependent columns; nrows+1 if none at w <= nrows."""
+def _min_dependent_columns(ctx, cols, nrows, budget, start=1):
+    """Smallest w with w dependent columns; nrows+1 if none at w <= nrows.
+    `start` must be a proven bound: no fewer columns are dependent."""
     counter = _Counter(budget)
-    for w in range(1, nrows + 1):
+    counter.completed = start - 1
+    for w in range(start, nrows + 1):
         if _dfs_exact(ctx, cols, [], 0, w, counter):
             return w
         counter.completed = w
@@ -155,34 +160,30 @@ def enum_min_distance(g: Matrix, limit: int = 2 * 10 ** 5) -> int:
     return best
 
 
-def _mul_linear(ctx, poly, a):
-    """poly * (x - a), ascending coefficients."""
-    na = ctx.neg(a)
-    out = [ctx.mul(poly[0], na)]
-    for i in range(1, len(poly)):
-        out.append(ctx.add(poly[i - 1], ctx.mul(poly[i], na)))
-    out.append(poly[-1])
-    return out
-
-
-def grl_min_distance(spec: GrlSpec) -> int:
+def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum distance from the maximal zero pattern.
 
     A nonzero word is (v_j f(a_j), beta) with deg f < k; its zeros are
     roots of f among alpha plus tail coordinates killed through A.  Only
     root counts m in [k-l, k-1] can beat the trivial m = k-1 pattern.
+    One budget step is spent per root subset; a pattern with at most m
+    roots has at most m + l zeros, so on exhaustion at m the distance is
+    at least length - max(best, m + l).
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
+    counter = _Counter(budget)
+    neg = [ctx.neg(a) for a in spec.alpha]
     best = k - 1
     top = min(k - 1, n)
     for m in range(top, max(k - l, 0) - 1, -1):
         if m + l <= best:
             break
+        counter.completed = spec.length - max(best, m + l) - 1
         km = k - m
         for roots in combinations(range(n), m):
-            poly = [ctx.one()]
-            for idx in roots:
-                poly = _mul_linear(ctx, poly, spec.alpha[idx])
+            counter.tick()
+            # prod_{r in R} (x - r) = sum_j e_j(-R) x^(m-j); reversed, ascending
+            poly = elementary_symmetric(ctx, [neg[i] for i in roots])[::-1]
             # map from the k-m free coefficients of g to the tail vector
             coeff = [[poly[k - l + u - i] if 0 <= k - l + u - i <= m else ZERO
                       for u in range(l)] for i in range(km)]
@@ -202,29 +203,21 @@ def grl_min_distance(spec: GrlSpec) -> int:
 
 
 def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact dual distance: smallest dependent column set of the
-    generator.  Any <= k evaluation columns are independent (scaled
-    Vandermonde on distinct points), so every dependent set of size
-    <= k must use a tail column; tail parts are enumerated exactly.  The
-    tail columns carry A in GL_l, so they are independent and each
-    dependency also takes at least one evaluation column."""
+    """Exact dual distance: the smallest dependent column set of G.
+
+    The tail columns carry A in GL_l, so they are independent and every
+    dependency has a nonzero part on the evaluation columns.  Rows
+    0..k-l-1 of G see only those columns (the tail is zero there), and
+    any k-l of them are independent there (scaled Vandermonde on distinct
+    points), so that part takes at least k-l+1 columns.  Any k evaluation
+    columns are independent, so a dependency of at most k columns also
+    takes a tail column.  Hence d-dual >= k - l + 2, where the column
+    search starts.
+    """
     g = build_generator(spec)
-    ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
-    acols = [g.col(j) for j in range(n)]
-    tcols = [g.col(n + u) for u in range(l)]
-    counter = _Counter(budget)
-    for w in range(1, k + 1):
-        for b in range(max(1, w - n), min(l, w - 1) + 1):
-            for tails in combinations(range(l), b):
-                basis = []
-                for u in tails:
-                    r = _reduce(ctx, tcols[u], basis)
-                    p = _first_nonzero(r)
-                    basis = _insert(basis, p, _normalized(ctx, r, p))
-                if _dfs_exact(ctx, acols, basis, 0, w - b, counter):
-                    return w
-        counter.completed = w
-    return k + 1
+    cols = [g.col(j) for j in range(g.cols)]
+    return _min_dependent_columns(g.ctx, cols, spec.k, budget,
+                                  start=spec.k - spec.l + 2)
 
 
 @dataclass
@@ -282,12 +275,11 @@ def _label(defect, defect_dual):
     return "other"
 
 
-def classify(spec: GrlSpec, with_nongrs: bool = False,
-             budget: int = DEFAULT_BUDGET) -> CodeReport:
+def classify(spec: GrlSpec, with_nongrs: bool = False) -> CodeReport:
     """Full report: distances, defect labels, hulls, EAQECC parameters."""
     nn = spec.length
     d = grl_min_distance(spec)
-    dd = dual_min_distance(spec, budget)
+    dd = dual_min_distance(spec)
     defect = nn + 1 - spec.k - d
     defect_dual = spec.k + 1 - dd
     rep = CodeReport(

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from grlcodes.appendix import load_rows
 from grlcodes.classify import (BudgetExceeded, TooLarge, classify,
                                dual_min_distance, enum_min_distance,
                                grl_min_distance, min_distance)
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
+from grlcodes.hull import EUCLIDEAN, dual_generator
 from grlcodes.linalg import Matrix, rank
 
 
@@ -23,11 +25,11 @@ def example_a1_spec():
     return unit_spec(ctx, [ctx.element(16 * i + 2) for i in range(1, 6)], A22, 5)
 
 
-def random_small_spec(rng, ctx):
+def random_small_spec(rng, ctx, k=None, l=None):
     els = list(ctx.nonzero_elements())
-    k = rng.randint(2, 4)
+    k = rng.randint(2, 4) if k is None else k
     n = rng.randint(k, min(ctx.q, k + 3))
-    l = rng.randint(2, k)
+    l = rng.randint(2, k) if l is None else l
     alpha = rng.sample(list(ctx.elements()), n)
     v = [rng.choice(els) for _ in range(n)]
     while True:
@@ -64,17 +66,29 @@ def test_distance_methods_agree_with_enumeration():
 
 
 def test_dual_distance_agrees_with_enumeration():
+    """d-dual against the parity-check column search (from w = 1, on
+    another basis of the code) and, where small, full enumeration; the
+    shapes l = k and l = 2 put the search's start k - l + 2 at 2 and k."""
     rng = random.Random(77)
-    from grlcodes.hull import EUCLIDEAN, dual_generator
+    specs = []
     for p, m in ((5, 1), (3, 2), (11, 1)):
         ctx = field_new(p, m)
-        for _ in range(10):
-            spec = random_small_spec(rng, ctx)
-            g = build_generator(spec)
-            h = dual_generator(g, EUCLIDEAN)
-            if ctx.q ** h.rows - 1 > 30000:
-                continue
-            assert dual_min_distance(spec) == enum_min_distance(h, limit=30000)
+        specs += [random_small_spec(rng, ctx) for _ in range(10)]
+    for p, m in ((7, 1), (3, 2), (13, 1)):
+        ctx = field_new(p, m)
+        for k, l in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 4)):
+            specs += [random_small_spec(rng, ctx, k, l) for _ in range(3)]
+    at_bound = 0
+    for spec in specs:
+        g = build_generator(spec)
+        h = dual_generator(g, EUCLIDEAN)
+        dd = dual_min_distance(spec)
+        assert dd >= spec.k - spec.l + 2
+        assert dd == min_distance(h)
+        at_bound += dd == spec.k - spec.l + 2
+        if spec.ctx.q ** h.rows - 1 <= 30000:
+            assert dd == enum_min_distance(h, limit=30000)
+    assert at_bound >= 10  # the start is attained, not only a bound
 
 
 def test_budget_exceeded_carries_lower_bound():
@@ -88,8 +102,38 @@ def test_budget_exceeded_carries_lower_bound():
     assert str(exc.value) == "distance search exceeded budget 10; d >= 2"
     with pytest.raises(BudgetExceeded) as exc:
         dual_min_distance(spec, budget=3)
-    assert exc.value.lower_bound == 2 and exc.value.budget == 3
-    assert str(exc.value) == "distance search exceeded budget 3; d >= 2"
+    # the dual search starts at k - l + 2 = 8, so that much is proven
+    assert exc.value.lower_bound == 8 and exc.value.budget == 3
+    assert str(exc.value) == "distance search exceeded budget 3; d >= 8"
+    assert exc.value.lower_bound <= dual_min_distance(spec)
+
+
+def test_grl_min_distance_budget_on_long_code():
+    # [102, 6] over GF(101): C(100, 5) root subsets, far beyond the budget
+    ctx = field_new(101)
+    alpha = [ctx.element(e) for e in range(1, 101)]
+    spec = unit_spec(ctx, alpha, [["g^0", "g^1"], ["g^2", "g^4"]], 6)
+    with pytest.raises(BudgetExceeded) as exc:
+        grl_min_distance(spec, budget=1000)
+    assert exc.value.lower_bound == 95 and exc.value.budget == 1000
+    assert str(exc.value) == "distance search exceeded budget 1000; d >= 95"
+
+
+def test_budget_lower_bounds_are_sound(appendix_results):
+    """Every exhausted budget reports a lower bound no larger than the
+    true distance, for d and d-dual, on every appendix row."""
+    raised = 0
+    for row in load_rows("all"):
+        rep = appendix_results[row.id].report
+        for engine, true in ((grl_min_distance, rep.d),
+                             (dual_min_distance, rep.d_dual)):
+            for budget in (1, 10, 100, 1000):
+                try:
+                    assert engine(row.spec, budget=budget) == true, row.id
+                except BudgetExceeded as exc:
+                    assert exc.lower_bound <= true, (row.id, budget)
+                    raised += 1
+    assert raised >= 2 * 33 * 2  # budgets 1 and 10 stop every row
 
 
 def test_enum_guard():
