@@ -9,7 +9,8 @@ Production engines, one per quantity:
 * dual_min_distance (d-dual): the smallest dependent column set of the
   generator, by the column search (depth-first over independent column
   subsets in colex order, with incremental elimination), started at the
-  bound k - l + 2 that the generator's shape proves.
+  bound k - l + 2 that the generator's shape proves and restricted to
+  sets that contain a tail column.
 
 Oracles:
 
@@ -102,10 +103,13 @@ def _insert(basis, piv, vec):
     return nb
 
 
-def _dfs_exact(ctx, cols, basis, start, remaining, counter):
+def _dfs_exact(ctx, cols, basis, start, remaining, counter, lead=None):
     """True iff some `remaining` columns from cols[start:] complete a
-    dependency on top of basis."""
-    for j in range(start, len(cols) - remaining + 1):
+    dependency on top of basis; the first is taken from cols[start:lead]."""
+    stop = len(cols) - remaining + 1
+    if lead is not None:
+        stop = min(stop, lead)
+    for j in range(start, stop):
         counter.tick()
         r = _reduce(ctx, cols[j], basis)
         p = _first_nonzero(r)
@@ -118,13 +122,15 @@ def _dfs_exact(ctx, cols, basis, start, remaining, counter):
     return False
 
 
-def _min_dependent_columns(ctx, cols, nrows, budget, start=1):
+def _min_dependent_columns(ctx, cols, nrows, budget, start=1, lead=None):
     """Smallest w with w dependent columns; nrows+1 if none at w <= nrows.
-    `start` must be a proven bound: no fewer columns are dependent."""
+    `start` must be a proven bound: no fewer columns are dependent.  With
+    `lead`, every dependent set of at most nrows columns must meet
+    cols[:lead], and only sets that do are searched."""
     counter = _Counter(budget)
     counter.completed = start - 1
     for w in range(start, nrows + 1):
-        if _dfs_exact(ctx, cols, [], 0, w, counter):
+        if _dfs_exact(ctx, cols, [], 0, w, counter, lead):
             return w
         counter.completed = w
     return nrows + 1
@@ -212,12 +218,15 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     points), so that part takes at least k-l+1 columns.  Any k evaluation
     columns are independent, so a dependency of at most k columns also
     takes a tail column.  Hence d-dual >= k - l + 2, where the column
-    search starts.
+    search starts; the tail columns come first and each searched set
+    begins with one, which skips the C(n, w) independent sets of
+    evaluation columns alone.
     """
     g = build_generator(spec)
-    cols = [g.col(j) for j in range(g.cols)]
+    n, l = spec.n, spec.l
+    cols = [g.col(n + u) for u in range(l)] + [g.col(j) for j in range(n)]
     return _min_dependent_columns(g.ctx, cols, spec.k, budget,
-                                  start=spec.k - spec.l + 2)
+                                  start=spec.k - l + 2, lead=l)
 
 
 @dataclass

@@ -119,6 +119,19 @@ def test_grl_min_distance_budget_on_long_code():
     assert str(exc.value) == "distance search exceeded budget 1000; d >= 95"
 
 
+def test_dual_search_skips_evaluation_only_sets():
+    # [30, 4] MDS over GF(101), points 1..28: d-dual = k + 1, so level
+    # k = 4 holds no dependency and is searched in full.  All C(30, 4) =
+    # 27405 column sets exceed the budget; the 6930 that contain a tail
+    # column (any 4 evaluation columns are independent) fit.
+    ctx = field_new(101)
+    alpha = [ctx.from_int(x) for x in range(1, 29)]
+    spec = GrlSpec(ctx=ctx, alpha=alpha, v=[ctx.one()] * 28,
+                   a=Matrix(ctx, [[ctx.one(), ZERO], [ZERO, ctx.one()]]), k=4)
+    assert grl_min_distance(spec) == spec.length - spec.k + 1
+    assert dual_min_distance(spec, budget=10_000) == spec.k + 1
+
+
 def test_budget_lower_bounds_are_sound(appendix_results):
     """Every exhausted budget reports a lower bound no larger than the
     true distance, for d and d-dual, on every appendix row."""
