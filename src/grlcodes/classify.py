@@ -3,9 +3,9 @@
 Production engines, one per quantity:
 
 * grl_min_distance (d): for evaluation codes with a coefficient tail,
-  the minimum weight equals length minus the largest achievable zero
-  set (roots among the points plus forced tail zeros), searched over
-  root subsets.
+  length minus the largest achievable zero set (roots among the points
+  plus forced tail zeros), over root subsets of sizes k-1 down to k-l+1,
+  the only ones that can beat k-1 zeros; the budget is C(n, m) per size.
 * dual_min_distance (d-dual): the smallest dependent column set of the
   generator, by the column search (depth-first over independent column
   subsets in colex order, with incremental elimination), started at the
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import comb
 
 from . import eaqecc
 from .gf import ZERO, GrlError, TooLarge
@@ -167,42 +168,43 @@ def enum_min_distance(g: Matrix, limit: int = 2 * 10 ** 5) -> int:
 
 
 def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact minimum distance from the maximal zero pattern.
+    """Exact minimum distance: length minus the most zeros of a nonzero word.
 
-    A nonzero word is (v_j f(a_j), beta) with deg f < k; its zeros are
-    roots of f among alpha plus tail coordinates killed through A.  Only
-    root counts m in [k-l, k-1] can beat the trivial m = k-1 pattern.
-    One budget step is spent per root subset; a pattern with at most m
-    roots has at most m + l zeros, so on exhaustion at m the distance is
-    at least length - max(best, m + l).
+    A word (v_j f(a_j), beta), deg f < k, is zero at the roots of f among
+    alpha and at the tail coordinates beta kills.  Fix a root set R of
+    size m, km = k - m: f = g P_R with P_R monic and g != 0 free in km
+    coefficients, and beta = g C A with C[i][u] = P_R[k-l+u-i].  For
+    km <= l, row i of C has a 1 at column l-km+i and zeros to its right,
+    so C, and with A in GL_l also C A, has full row rank and beta != 0:
+    level m reaches at most m + l - 1 zeros.  That is k - 1, the start
+    value every code reaches, at m = k-l, and below it m + l < k.  So
+    levels m = k-1 down to k-l+1 are searched while m + l - 1 > best,
+    and t <= l-1 tail zeros are tried.  One budget unit per root subset:
+    a level visits all C(n, m) of its subsets, charged before it runs.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
-    counter = _Counter(budget)
     neg = [ctx.neg(a) for a in spec.alpha]
     best = k - 1
-    top = min(k - 1, n)
-    for m in range(top, max(k - l, 0) - 1, -1):
-        if m + l <= best:
+    spent = 0
+    for m in range(k - 1, k - l, -1):
+        if m + l - 1 <= best:
             break
-        counter.completed = spec.length - max(best, m + l) - 1
+        spent += comb(n, m)
+        if spent > budget:
+            # m + l - 1 would be sound too; m + l keeps the lower bounds
+            # the CLI prints, such as d >= 95 on [102, 6], where they were.
+            raise BudgetExceeded(spec.length - max(best, m + l), budget)
         km = k - m
         for roots in combinations(range(n), m):
-            counter.tick()
             # prod_{r in R} (x - r) = sum_j e_j(-R) x^(m-j); reversed, ascending
             poly = elementary_symmetric(ctx, [neg[i] for i in roots])[::-1]
-            # map from the k-m free coefficients of g to the tail vector
-            coeff = [[poly[k - l + u - i] if 0 <= k - l + u - i <= m else ZERO
-                      for u in range(l)] for i in range(km)]
-            w = mat_mul(Matrix(ctx, coeff), spec.a)
-            for t in range(l, max(best - m, 0), -1):
-                hit = False
-                for cols in combinations(range(l), t):
-                    sub = Matrix(ctx, [[w.data[i][u] for u in cols]
-                                       for i in range(km)])
-                    if rank(sub) < km:
-                        hit = True
-                        break
-                if hit:
+            c = [[poly[k - l + u - i] if 0 <= k - l + u - i <= m else ZERO
+                  for u in range(l)] for i in range(km)]
+            w = mat_mul(Matrix(ctx, c), spec.a)
+            for t in range(l - 1, best - m, -1):
+                if any(rank(Matrix(ctx, [[r[u] for u in cols]
+                                         for r in w.data])) < km
+                       for cols in combinations(range(l), t)):
                     best = m + t
                     break
     return spec.length - best

@@ -37,6 +37,7 @@ from .linalg import Matrix, rank
 EUCLIDEAN_FAMILIES = ("E1", "E2", "E3", "E4")
 HERMITIAN_FAMILIES = ("H1", "H2", "H3", "H4")
 FAMILIES = EUCLIDEAN_FAMILIES + HERMITIAN_FAMILIES
+_FIRST_ROW_TRIES = 200  # first rows sample_first_row_sum draws
 
 
 class NoClaim(GrlError):
@@ -460,13 +461,12 @@ def sample_invertible(ctx: FieldCtx, l: int, rng: random.Random) -> Matrix:
 
 
 def sample_first_row_sum(ctx: FieldCtx, l: int, target: int,
-                         rng: random.Random, hermitian: bool,
-                         tries: int = 200) -> Matrix | None:
+                         rng: random.Random, hermitian: bool) -> Matrix | None:
     """Invertible A whose first row satisfies sum a_1i^2 = target
     (Euclidean) or sum a_1i^{1+q} = target (Hermitian); None on failure."""
     els = [ZERO] + list(ctx.nonzero_elements())
     e = 1 + ctx.base_q if hermitian else 2
-    for _ in range(tries):
+    for _ in range(_FIRST_ROW_TRIES):
         head = [rng.choice(els) for _ in range(l - 1)]
         last = _root(ctx.sub(target, _row_norm_sum(ctx, head, e)), e)
         if last is None:

@@ -297,9 +297,6 @@ class FieldCtx:
         """gamma^e, exponent reduced mod q-1."""
         return e % self.n
 
-    def zero(self) -> int:
-        return ZERO
-
     def one(self) -> int:
         return 0
 

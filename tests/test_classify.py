@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grlcodes.appendix import load_rows
 from grlcodes.classify import (BudgetExceeded, TooLarge, classify,
@@ -65,6 +67,34 @@ def test_distance_methods_agree_with_enumeration():
             assert min_distance(g) == d_enum
 
 
+@st.composite
+def small_specs(draw):
+    """2 <= l <= k <= n <= q <= 27; alpha may hold 0; v and A are random."""
+    p, m = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                 (13, 1), (5, 2), (3, 3)]))
+    ctx = field_new(p, m)
+    k = draw(st.integers(2, min(5, ctx.q)))
+    l = draw(st.integers(2, k))
+    n = draw(st.integers(k, min(ctx.q, k + 4)))
+    alpha = draw(st.permutations(list(ctx.elements())))[:n]
+    v = draw(st.lists(st.sampled_from(list(ctx.nonzero_elements())),
+                      min_size=n, max_size=n))
+    row = st.lists(st.sampled_from(list(ctx.elements())), min_size=l,
+                   max_size=l)
+    a = draw(st.lists(row, min_size=l, max_size=l)
+             .map(lambda rows: Matrix(ctx, rows))
+             .filter(lambda a: rank(a) == l))
+    return GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+def test_root_subset_search_matches_column_search(spec):
+    """The root levels k-1..k-l+1 and tail sizes t <= l-1 that
+    grl_min_distance searches hold every maximal zero pattern."""
+    assert grl_min_distance(spec) == min_distance(build_generator(spec))
+
+
 def test_dual_distance_agrees_with_enumeration():
     """d-dual against the parity-check column search (from w = 1, on
     another basis of the code) and, where small, full enumeration; the
@@ -119,6 +149,17 @@ def test_grl_min_distance_budget_on_long_code():
     assert str(exc.value) == "distance search exceeded budget 1000; d >= 95"
 
 
+def test_grl_min_distance_charges_each_level_in_full():
+    # A.1 is [7, 5] with n = 5, l = 2: only level m = k - 1 = 4 can beat
+    # the start value, and it costs C(5, 4) = 5 root subsets
+    spec = example_a1_spec()
+    assert grl_min_distance(spec, budget=5) == 3
+    with pytest.raises(BudgetExceeded) as exc:
+        grl_min_distance(spec, budget=4)
+    assert exc.value.lower_bound == 1 and exc.value.budget == 4
+    assert str(exc.value) == "distance search exceeded budget 4; d >= 1"
+
+
 def test_dual_search_skips_evaluation_only_sets():
     # [30, 4] MDS over GF(101), points 1..28: d-dual = k + 1, so level
     # k = 4 holds no dependency and is searched in full.  All C(30, 4) =
@@ -135,18 +176,21 @@ def test_dual_search_skips_evaluation_only_sets():
 def test_budget_lower_bounds_are_sound(appendix_results):
     """Every exhausted budget reports a lower bound no larger than the
     true distance, for d and d-dual, on every appendix row."""
-    raised = 0
+    raised = dict.fromkeys((1, 10, 100, 1000), 0)
     for row in load_rows("all"):
         rep = appendix_results[row.id].report
         for engine, true in ((grl_min_distance, rep.d),
                              (dual_min_distance, rep.d_dual)):
-            for budget in (1, 10, 100, 1000):
+            for budget in raised:
                 try:
                     assert engine(row.spec, budget=budget) == true, row.id
                 except BudgetExceeded as exc:
                     assert exc.lower_bound <= true, (row.id, budget)
-                    raised += 1
-    assert raised >= 2 * 33 * 2  # budgets 1 and 10 stop every row
+                    raised[budget] += 1
+    # budget 1 stops both searches on every row (the first level of d
+    # alone costs C(n, k-1) >= n); larger budgets let some rows finish
+    assert raised[1] == 2 * 33
+    assert sum(raised.values()) >= 2 * 33 * 2
 
 
 def test_enum_guard():

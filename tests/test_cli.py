@@ -1,3 +1,4 @@
+import hashlib
 import json
 import signal
 from contextlib import contextmanager
@@ -183,6 +184,10 @@ def test_usage_error_exit_code():
 SPEC, DIR = "<spec>", "<dir>"   # replaced by a spec file / a directory
 SINGULAR_A = {**A1_SPEC, "A": [["1", "1"], ["1", "1"]]}
 REPEATED_ALPHA = {**A1_SPEC, "alpha": ["g^18", "g^18", "g^50", "g^66", "g^2"]}
+# [102, 6] over GF(101): the first root level alone is C(100, 5) subsets
+LONG_CODE = {"field": "101", "k": 6, "l": 2,
+             "alpha": [f"g^{e}" for e in range(1, 101)],
+             "A": [["g^0", "g^1"], ["g^2", "g^4"]]}
 COUNT = ["count", "--q", "5", "--k", "2", "--c", "0"]
 CELL = ["sweep", "--family", "E1", "--q", "81", "--delta", "2"]
 
@@ -241,6 +246,9 @@ BAD_INPUTS = {
         "no theorem claim applies: k must divide q-1"),
     "sweep-cell-zero-samples": (CELL + ["--k", "5", "--l", "2", "--samples",
                                         "0"], None, "audited nothing"),
+    "report-distance-budget": (["report", "--spec", SPEC], LONG_CODE,
+                               "error: distance search exceeded budget "
+                               "10000000; d >= 95"),
 }
 
 
@@ -274,3 +282,36 @@ def test_input_error_exits_2_with_one_error_line(argv, spec, needle, tmp_path,
     assert "Traceback" not in err
     if needle is not None:
         assert needle in lines[0]
+
+
+# sha256 of stdout; a change that means to alter the output updates these
+STDOUT_SHA256 = {
+    "appendix-all-json": (
+        ["appendix", "all", "--json"],
+        "1286e2e389a3e5280ff72187ca44e3a8ec2a83bf6e57d2752b1b3e573d7cc41d"),
+    "report-a1": (
+        ["report", "--spec", SPEC],
+        "ab9ed4ca4eaf380787779fb20de65fac4988b4c3eb9d5be396603e889176046e"),
+    "sweep-e1-cell": (
+        ["sweep", "--family", "E1", "--q", "81", "--k", "5", "--l", "2",
+         "--delta", "2", "--samples", "5", "--seed", "7"],
+        "59875833d3411a9be7422adc5b43773355534c494ec6edfe9ca999fb1081fd98"),
+    "count-json": (
+        COUNT + ["--json"],
+        "59571d96942235c148c05097f57684176b55a868adcdca4a83995e2332be7c0c"),
+    "eaqecc-a1": (
+        ["eaqecc", "--spec", SPEC],
+        "9a5747b9aa50dbc7d6e82c3feff8ab63e6717218affed72c8a5d2b133c465b55"),
+    "eaqecc-a1-csv": (
+        ["eaqecc", "--spec", SPEC, "--csv"],
+        "18a08961f8ffcae1b4d307e758290552292067b3ef6c5f952cacf414dcc9222f"),
+}
+
+
+@pytest.mark.parametrize("argv,sha256", STDOUT_SHA256.values(),
+                         ids=STDOUT_SHA256.keys())
+def test_stdout_is_byte_identical(argv, sha256, a1_spec_file, capsys):
+    rc = main([a1_spec_file if a == SPEC else a for a in argv])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
