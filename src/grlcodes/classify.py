@@ -5,7 +5,9 @@ Production engines, one per quantity:
 * grl_min_distance (d): for evaluation codes with a coefficient tail,
   length minus the largest achievable zero set (roots among the points
   plus forced tail zeros), over root subsets of sizes k-1 down to k-l+1,
-  the only ones that can beat k-1 zeros; the budget is C(n, m) per size.
+  the only ones that can beat k-1 zeros, leaving a size once it reaches
+  its cap; the budget charges C(n, m) per size, an upper bound on the
+  subsets visited.
 * dual_min_distance (d-dual): the smallest dependent column set of the
   generator, by the column search (depth-first over independent column
   subsets in colex order, with incremental elimination), started at the
@@ -179,8 +181,9 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     level m reaches at most m + l - 1 zeros.  That is k - 1, the start
     value every code reaches, at m = k-l, and below it m + l < k.  So
     levels m = k-1 down to k-l+1 are searched while m + l - 1 > best,
-    and t <= l-1 tail zeros are tried.  One budget unit per root subset:
-    a level visits all C(n, m) of its subsets, charged before it runs.
+    and t <= l-1 tail zeros are tried; a level is left as soon as best
+    reaches its cap m + l - 1.  The budget charges C(n, m) before level m
+    runs, an upper bound on the root subsets it visits.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     neg = [ctx.neg(a) for a in spec.alpha]
@@ -207,6 +210,8 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
                        for cols in combinations(range(l), t)):
                     best = m + t
                     break
+            if best == m + l - 1:
+                break
     return spec.length - best
 
 

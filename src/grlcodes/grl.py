@@ -5,6 +5,12 @@ f ranges over polynomials of degree < k and beta mixes the top-l
 coefficients of f through an invertible l x l matrix A.  Row r of the
 generator matrix carries the monomial x^r, so the tail block holds A in
 the last l rows.
+
+power_sum and build_M state the power-sum identity the paper's hull
+theorems rest on, for points on a coset gamma^t mu_k.  They are not on a
+production path; tests/test_hull.py checks that the evaluation block of
+the Hermitian hull.spec_gram of such a spec, v = 1, equals build_M, so
+the identity checks the production hull engine.
 """
 
 from __future__ import annotations

@@ -284,6 +284,18 @@ def test_input_error_exits_2_with_one_error_line(argv, spec, needle, tmp_path,
         assert needle in lines[0]
 
 
+def test_report_leaves_a_root_level_at_its_cap(tmp_path, capsys):
+    # [102, 5] over GF(101): d = 97 is reached early in the C(100, 4)
+    # subsets of the only root level, which then cannot give more zeros
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**LONG_CODE, "k": 5}))
+    with _deadline(10):
+        rc = main(["report", "--spec", str(path), "--csv", "--no-nongrs"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[1] == "102,5,97,NMDS,2,"
+
+
 # sha256 of stdout; a change that means to alter the output updates these
 STDOUT_SHA256 = {
     "appendix-all-json": (

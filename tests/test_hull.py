@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grlcodes.gf import ZERO, field_new
-from grlcodes.grl import GrlSpec, build_generator
+from grlcodes.grl import GrlSpec, build_generator, build_M
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, RankDeficient, dual_generator,
-                           gram, hull_dim_bruteforce, hull_report)
+                           gram, hull_dim_bruteforce, hull_report, spec_gram)
 from grlcodes.linalg import Matrix, conj_transpose, mat_mul, rank, transpose
 
 
@@ -184,3 +186,65 @@ def test_self_orthogonal_single_row():
     assert hull_dim_bruteforce(g2, EUCLIDEAN) == 0
     h2 = dual_generator(g2, EUCLIDEAN)
     assert gram_hull(h2, EUCLIDEAN) == hull_dim_bruteforce(h2, EUCLIDEAN) == 0
+
+
+@st.composite
+def small_specs(draw):
+    """2 <= l <= k <= n <= q <= 49, odd q; alpha often holds 0; v and A
+    are random."""
+    p, m = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
+                                 (13, 1), (5, 2), (3, 3), (31, 1), (7, 2)]))
+    ctx = field_new(p, m)
+    k = draw(st.integers(2, min(7, ctx.q)))
+    l = draw(st.integers(2, min(4, k)))
+    n = draw(st.integers(k, min(ctx.q, k + 5)))
+    alpha = draw(st.permutations(list(ctx.elements())))[:n]
+    if ZERO not in alpha and draw(st.booleans()):
+        alpha[draw(st.integers(0, n - 1))] = ZERO
+    v = draw(st.lists(st.sampled_from(list(ctx.nonzero_elements())),
+                      min_size=n, max_size=n))
+    row = st.lists(st.sampled_from(list(ctx.elements())), min_size=l,
+                   max_size=l)
+    a = draw(st.lists(row, min_size=l, max_size=l)
+             .map(lambda rows: Matrix(ctx, rows))
+             .filter(lambda a: rank(a) == l))
+    return GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+def test_spec_gram_matches_generator_gram(spec):
+    """The power-sum Gram equals G G^T (G conj(G)^T on square fields), so
+    the production hull equals the stacked-generator oracle."""
+    g = build_generator(spec)
+    inners = [EUCLIDEAN] + ([HERMITIAN] if spec.ctx.m % 2 == 0 else [])
+    for inner in inners:
+        assert spec_gram(spec, inner) == gram(g, inner)
+        assert hull_report(spec, inner).hull_dim == hull_dim_bruteforce(g, inner)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 4)])
+def test_hermitian_spec_gram_evaluation_block_is_build_M(p, m):
+    """alpha = gamma^t mu_k, v = 1: spec_gram minus its A conj(A)^T corner
+    is the structure matrix M of the paper's power-sum identity."""
+    ctx = field_new(p, m)
+    rng = random.Random(p * m)
+    els = list(ctx.elements())
+    for k in (d for d in range(2, ctx.n + 1) if ctx.n % d == 0):
+        for t in rng.sample(range(ctx.n), 3):
+            l = rng.randint(2, min(4, k))
+            while True:
+                a = Matrix(ctx, [[rng.choice(els) for _ in range(l)]
+                                 for _ in range(l)])
+                if rank(a) == l:
+                    break
+            step = ctx.n // k
+            spec = GrlSpec(ctx=ctx, alpha=[ctx.element(t + step * i)
+                                           for i in range(1, k + 1)],
+                           v=[ctx.one()] * k, a=a, k=k)
+            gm = spec_gram(spec, HERMITIAN).data
+            corner = mat_mul(a, conj_transpose(a)).data
+            for r in range(k - l, k):
+                for c in range(k - l, k):
+                    gm[r][c] = ctx.sub(gm[r][c], corner[r - (k - l)][c - (k - l)])
+            assert Matrix(ctx, gm) == build_M(ctx, k, t)
