@@ -3,8 +3,9 @@
 
 The closed forms use the quadratic character; the all-nonzero variants
 run through exact arithmetic in Z[w] with w^2 = +-q, and the integer
-only appears after the surd parts cancel.  The enumeration oracle
-double-checks every number printed here.
+only appears after the surd parts cancel.  The convolution oracle
+(the square-value histogram added to itself k times) double-checks
+every number printed here.
 """
 
 from grlcodes.counting import (brute_quadric_count, count_nf, count_nf_star,

@@ -2,13 +2,15 @@
 
 Closed forms use the quadratic character; the all-nonzero counts are
 evaluated exactly in the quadratic ring Z[w] with w^2 = q or -q before
-an exact division, so no floating point enters the pipeline.  A literal
-enumeration oracle arbitrates the semantics.
+an exact division, so no floating point enters the pipeline.  An oracle
+that convolves the square-value histogram over the additive group
+arbitrates the semantics; it uses only field addition and multiplication,
+never the quadratic character or the closed forms.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
 
 from .gf import (ZERO, FieldCtx, GrlError, NotADivisor, TooLarge,
                  divisor_count, quadratic_character)
@@ -105,20 +107,28 @@ def count_nf_star(ctx: FieldCtx, k: int, c: int) -> int:
 
 def brute_quadric_count(ctx: FieldCtx, k: int, c: int,
                         nonzero_only: bool = False) -> int:
-    """Literal enumeration of solution tuples; oracle for the closed forms."""
+    """Number of k-tuples from the pool (all of GF(q), or GF(q)^* when
+    nonzero_only) whose squares sum to c; oracle for the closed forms.
+
+    A k-fold convolution over the additive group: start from {0: 1} and
+    k times add the histogram of x^2 over the pool (each nonzero square
+    twice, 0 once unless nonzero_only).  O(k q^2) field operations in
+    place of the q^k tuples, with the same count.
+    """
     _check_length(k)
     # q^24 >= 2^24 > 10^7, so the capped exponent decides a huge k as well
     if ctx.q ** min(k, 24) > 10 ** 7:
         raise TooLarge(f"q^k = {ctx.q}^{k} beyond the 10^7 enumeration guard")
-    pool = list(ctx.nonzero_elements()) if nonzero_only else list(ctx.elements())
-    count = 0
-    for tup in product(pool, repeat=k):
-        acc = ZERO
-        for x in tup:
-            acc = ctx.add(acc, ctx.mul(x, x))
-        if acc == c:
-            count += 1
-    return count
+    pool = ctx.nonzero_elements() if nonzero_only else ctx.elements()
+    squares = Counter(ctx.mul(x, x) for x in pool)
+    hist = Counter({ZERO: 1})
+    for _ in range(k):
+        nxt = Counter()
+        for a, na in hist.items():
+            for b, nb in squares.items():
+                nxt[ctx.add(a, b)] += na * nb
+        hist = nxt
+    return hist[c]
 
 
 def hull1_count_bound(ctx: FieldCtx, delta: int, l: int,

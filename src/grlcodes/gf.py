@@ -161,6 +161,27 @@ def _poly_order_is(f, p, order):
                for r in prime_factors(order))
 
 
+def _subfield_compatible(f, p, subs):
+    """Whether x^((p^m - 1)/(p^d - 1)) mod f is a root of C_{p,d} for
+    every (d, C_{p,d}) in subs, m = deg f: the norm of x into each proper
+    subfield GF(p^d) is that subfield's generator."""
+    q = p ** (len(f) - 1)
+    for d, g in subs:
+        y = _ppowmod([0, 1], (q - 1) // (p ** d - 1), f, p)
+        acc: list[int] = []
+        for c in reversed(g):  # Horner: acc = acc*y + c
+            acc = _pmod(_pmul(acc, y, p), f, p)
+            if c:
+                if acc:
+                    acc[0] = (acc[0] + c) % p
+                    acc = _ptrim(acc)
+                else:
+                    acc = [c]
+        if acc:
+            return False
+    return True
+
+
 def _conway_poly(p, m):
     """Conway polynomial C_{p,m}, little-endian coefficients.
 
@@ -168,44 +189,29 @@ def _conway_poly(p, m):
     ordering (coefficients twisted by alternating signs, compared from
     the top degree down), compatible with the Conway polynomials of all
     proper subfields.  Feasible here because fields are capped small.
+
+    The packed word b_{m-1}...b_0 (b_0 its last digit) stands for the
+    polynomial with c_i = (-1)^(m-i) b_i.  For m > 1 only the words with
+    b_0 = r1, the root of C_{p,1}, are walked: compatibility with GF(p)
+    says the norm of x, (-1)^m c_0 = b_0, is r1.  That keeps p^(m-1) of
+    the p^m words in the same order, so the first word that passes is
+    the same.  A word must pass all three tests below, so their order
+    cannot change the result; it is the order that measured fastest.
     """
     q = p ** m
-    subs = []
-    for d in range(1, m):
-        if m % d == 0:
-            subs.append((d, _conway_poly_cached(p, d)))
-    for packed in range(q):
-        # word (b_{m-1}, ..., b_0) read off the packed integer
-        word = []
-        rest = packed
-        for _ in range(m):
-            word.append(rest % p)
-            rest //= p
-        word.reverse()
+    # GF(p) is settled by the walk; the largest subfield rejects the most
+    subs = [(d, _conway_poly_cached(p, d))
+            for d in range(m // 2, 1, -1) if m % d == 0]
+    start, step = (-_conway_poly_cached(p, 1)[0] % p, p) if m > 1 else (0, 1)
+    for packed in range(start, q, step):
         coeffs = [0] * m + [1]
+        rest = packed
         for i in range(m):
-            b = word[m - 1 - i]
+            rest, b = divmod(rest, p)
             coeffs[i] = (b if (m - i) % 2 == 0 else -b) % p
-        if not _irreducible(coeffs, p):
-            continue
-        if not _poly_order_is(coeffs, p, q - 1):
-            continue
-        ok = True
-        for d, g in subs:
-            y = _ppowmod([0, 1], (q - 1) // (p ** d - 1), coeffs, p)
-            acc: list[int] = []
-            for c in reversed(g):  # Horner: acc = acc*y + c
-                acc = _pmod(_pmul(acc, y, p), coeffs, p)
-                if c:
-                    if acc:
-                        acc[0] = (acc[0] + c) % p
-                        acc = _ptrim(acc)
-                    else:
-                        acc = [c]
-            if acc:
-                ok = False
-                break
-        if ok:
+        if (_irreducible(coeffs, p)
+                and _subfield_compatible(coeffs, p, subs)
+                and _poly_order_is(coeffs, p, q - 1)):
             return coeffs
     raise AssertionError(f"no Conway polynomial found for ({p}, {m})")
 

@@ -50,6 +50,8 @@ def test_formulas_match_enumeration_all_c(p, m):
             assert count_nf(ctx, k, c) == hist[c], (p, m, k, ctx.fmt(c))
             assert count_nf_star(ctx, k, c) == hist_star[c], (p, m, k, ctx.fmt(c))
             assert brute_quadric_count(ctx, k, c) == hist[c]
+            assert brute_quadric_count(ctx, k, c, nonzero_only=True) \
+                == hist_star[c]
 
 
 @pytest.mark.parametrize("p,m", FIELDS)
@@ -73,6 +75,19 @@ def test_surd_sums_are_exact_integers():
 def test_enumeration_guard():
     with pytest.raises(TooLarge):
         brute_quadric_count(field_new(101), 4, ZERO)
+
+
+def test_convolution_matches_closed_forms_near_the_guard():
+    # 3^14 = 4,782,969 tuples, just under the 10^7 guard
+    ctx = field_new(3)
+    k = 14
+    counts = [brute_quadric_count(ctx, k, c) for c in ctx.elements()]
+    assert counts == [count_nf(ctx, k, c) for c in ctx.elements()]
+    assert sum(counts) == 3 ** k
+    stars = [brute_quadric_count(ctx, k, c, nonzero_only=True)
+             for c in ctx.elements()]
+    assert stars == [count_nf_star(ctx, k, c) for c in ctx.elements()]
+    assert sum(stars) == 2 ** k
 
 
 def gl2_first_row_count(ctx, target, nonzero_only):

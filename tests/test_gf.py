@@ -3,7 +3,8 @@ import random
 import pytest
 
 from grlcodes.gf import (ZERO, EvenCharacteristic, FieldTooLarge, NotPrime,
-                         NotASquareField, _ppowmod, _ptrim, divisor_count,
+                         NotASquareField, _conway_poly_cached, _ppowmod,
+                         _ptrim, divisor_count,
                          field_new, field_from_str, is_prime,
                          quadratic_character, v_p)
 
@@ -189,29 +190,47 @@ def test_coeff_roundtrip():
 
 
 # the published table values for every field this package touches; the
-# generator convention is part of the interface, so these are pinned
+# generator convention is part of the interface, so these are pinned.
+# The larger ones cover every report field of the cold-cli benchmark.
 CONWAY = {
     (3, 1): [1, 1],
     (3, 2): [2, 2, 1],
     (3, 3): [1, 2, 0, 1],
     (3, 4): [2, 0, 0, 2, 1],
+    (3, 5): [1, 2, 0, 0, 0, 1],
     (3, 6): [2, 2, 1, 0, 2, 0, 1],
+    (3, 8): [2, 2, 2, 0, 1, 2, 0, 0, 1],
+    (3, 10): [2, 1, 0, 0, 2, 2, 2, 0, 0, 0, 1],
+    (3, 12): [2, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1],
     (5, 1): [3, 1],
     (5, 2): [2, 4, 1],
     (5, 3): [3, 3, 0, 1],
     (5, 4): [2, 4, 4, 0, 1],
+    (5, 6): [2, 0, 1, 4, 1, 0, 1],
     (7, 1): [4, 1],
     (7, 2): [3, 6, 1],
+    (7, 4): [3, 4, 5, 0, 1],
+    (7, 6): [3, 6, 4, 5, 1, 0, 1],
     (11, 1): [9, 1],
     (11, 2): [2, 7, 1],
     (13, 1): [11, 1],
     (13, 2): [2, 12, 1],
+    (13, 4): [2, 12, 3, 0, 1],
     (31, 1): [28, 1],
+    (101, 2): [2, 97, 1],
+    (1019, 2): [2, 1015, 1],
+    (99991, 1): [99985, 1],
 }
+# above this q only the search is checked: the tables of GF(7^6), GF(3^12)
+# and GF(1019^2) take seconds and tens of MB, and would stay cached
+TABLE_CHECK_MAX_Q = 10 ** 5
 
 
 @pytest.mark.parametrize("p,m", sorted(CONWAY))
 def test_modulus_is_the_conway_polynomial(p, m):
+    assert _conway_poly_cached(p, m) == CONWAY[(p, m)]
+    if p ** m > TABLE_CHECK_MAX_Q:
+        return
     ctx = field_new(p, m)
     assert ctx.modulus == CONWAY[(p, m)]
     # gamma is the class of x and has full order (checked via divisors)
