@@ -5,7 +5,8 @@ The code: the five fifth roots of unity in GF(81), shifted by gamma^2,
 with a 2x2 invertible tail -- a [7,5] code whose generator is a
 Vandermonde block plus a coefficient tail.  The report computes exact
 distances, hull dimensions under both inner products, the Singleton
-labels, EAQECC parameters and a non-GRS certificate.
+labels, EAQECC parameters and the GRS decision.  With n = k this code is
+GRS: its [7, 2] dual is MDS of length at most q.
 """
 
 import json
@@ -34,7 +35,7 @@ print(f"\nparameters [{rep.n},{rep.k},{rep.d}], dual distance {rep.d_dual}")
 print(f"Singleton defects: {rep.defect} / {rep.defect_dual} -> {rep.label}")
 print(f"Euclidean hull dim {rep.hull_e.hull_dim} (LCD: {rep.hull_e.is_lcd})")
 print(f"Hermitian hull dim {rep.hull_h.hull_dim} (GF(81) is a square field)")
-print(f"non-GRS certificate: {rep.nongrs.method} -> {rep.nongrs.verdict}")
+print(f"GRS decision: {rep.nongrs.method} -> {rep.nongrs.verdict}")
 print("\nEAQECC parameter pairs:")
 for inner, pair in rep.eaqecc.items():
     for t in pair:

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Telling GRL codes apart from (generalized) Reed-Solomon codes.
+"""Telling GRL codes apart from generalized Reed-Solomon (GRS) codes.
 
-Three certificates, strongest first: the Schur square dimension (a
-monomial-equivalence invariant: GRS codes of dimension k >= 3 with
-2k-1 < n give exactly 2k-1), the Cauchy column test on a standard form
-(fixed coordinate presentation), and, for tiny parameters, exhaustive
-comparison with every GRS row space.
+One decision, the generalized Cauchy criterion: with the generator in
+systematic form [I | B], a code of length N <= q is GRS iff B has no
+zero entry and, when k and N - k are both at least 2, the entrywise
+inverse 1/B has rank 2 with no two rows and no two columns of B
+proportional.  Every verdict carries a witness that can be checked by
+hand: points and multipliers that rebuild the code, or the entry, minor
+or proportional pair that rules GRS out.
 """
 
 from grlcodes.gf import field_new
 from grlcodes.grl import GrlSpec, build_generator
-from grlcodes.linalg import Matrix
-from grlcodes.nongrs import (cauchy_column_test, exhaustive_grs_check,
+from grlcodes.linalg import Matrix, rank, rref
+from grlcodes.nongrs import (certify, exhaustive_grs_check, grs_generator,
                              nongrs_certificate, schur_square_dim,
                              standard_form)
 
-# A genuinely non-GRS code: k > l tail.
+# A genuinely non-GRS code: k > l and n > k.
 ctx = field_new(3, 4)
 spec = GrlSpec(ctx=ctx,
                alpha=[ctx.element(20 * i) for i in range(1, 5)] +
@@ -24,19 +26,36 @@ spec = GrlSpec(ctx=ctx,
                a=Matrix.from_strs(ctx, [["g^1", "g^2"], ["g^3", "g^5"]]),
                k=4)
 g = build_generator(spec)
-dim = schur_square_dim(g)
-print(f"[10,4,7] code: dim(C^2) = {dim} > 2k-1 = 7 -> non-GRS")
-print("certificate:", nongrs_certificate(spec).to_json_dict())
-
-# Watching the Cauchy test fail on an appended column.
+cert = nongrs_certificate(spec)
+print("[10,4,7] code:", cert.to_json_dict())
 b, info, rest = standard_form(g)
-info_alpha = [spec.alpha[j] for j in info]
-for j, col in enumerate(rest):
-    res = cauchy_column_test(ctx, info_alpha, spec.alpha, b.col(j))
-    kind = "appended" if col >= spec.n else "evaluation"
-    print(f"  column {col} ({kind}): {res[0]}"
-          + (f" -> recovered {ctx.fmt(res[1])}" if res[0] == 'consistent'
-             else f" ({res[1]['reason']})"))
+ev = cert.evidence
+minor = Matrix(ctx, [[ctx.inv(b.data[info.index(i)][rest.index(j)])
+                      for j in ev["columns"]] for i in ev["rows"]])
+print(f"  1/B on rows {ev['rows']}, columns {ev['columns']}: rank "
+      f"{rank(minor)} > 2, so not GRS")
+print(f"  the Schur square agrees: dim(C^2) = {schur_square_dim(g)} > 7")
+
+# A GRL code with n = k is GRS: its [7, 2] dual is MDS of length <= q.
+a1 = GrlSpec(ctx=ctx, alpha=[ctx.element(16 * i + 2) for i in range(1, 6)],
+             v=[ctx.one()] * 5,
+             a=Matrix.from_strs(ctx, [["g^1", "g^2"], ["g^3", "g^5"]]), k=5)
+cert = nongrs_certificate(a1)
+print("\n[7,5,3] code (appendix row A.1):", cert.to_json_dict())
+pts = [ctx.parse(s) for s in cert.evidence["points"]]
+v = [ctx.parse(s) for s in cert.evidence["v"]]
+same = rref(grs_generator(ctx, pts, v, 5))[0] == rref(build_generator(a1))[0]
+print(f"  GRS_5(points, v) spans the same code: {same}")
+
+# Rank 2 alone is not enough: proportional rows of B mean a zero 2x2 minor.
+f5 = field_new(5)
+g5 = Matrix(f5, [[f5.from_int(x) for x in row]
+                 for row in ([1, 0, 0, 4, 3], [0, 1, 0, 1, 2],
+                             [0, 0, 1, 1, 4])])
+print("\n[I | B] over GF(5), B = [[4,3],[1,2],[1,4]]:",
+      certify(g5).to_json_dict())
+print("  exhaustive search over every GRS code:",
+      exhaustive_grs_check(g5)[0])
 
 # A k = l construction with a Vandermonde tail IS Reed-Solomon.
 c7 = field_new(7)
@@ -44,8 +63,6 @@ pts = [c7.parse(s) for s in ("0", "1", "g^1", "g^2")]
 beta = [c7.element(3), c7.element(4)]
 a = Matrix(c7, [[c7.pow(x, r) for x in beta] for r in range(2)])
 rs = GrlSpec(ctx=c7, alpha=pts, v=[c7.one()] * 4, a=a, k=2)
-grs = build_generator(rs)
-verdict, ev = exhaustive_grs_check(grs)
-print(f"\nk = l Vandermonde tail over GF(7): exhaustive verdict {verdict} "
-      f"(dim(C^2) = {schur_square_dim(grs)} = 2k-1)")
-print("certificate:", nongrs_certificate(rs).to_json_dict())
+print("\nk = l Vandermonde tail over GF(7):",
+      nongrs_certificate(rs).to_json_dict())
+print(f"  exhaustive search: {exhaustive_grs_check(build_generator(rs))[0]}")

@@ -127,8 +127,9 @@ def cmd_sweep(args):
 def cmd_count(args):
     ctx = field_from_str(args.q)
     c = ctx.parse(args.c)
-    # the oracle first: its q^k <= 10^7 guard also bounds the closed forms
-    # (q ** (k - 1), the surd powers), so a huge k exits 2 at once
+    # the oracle first: its guards (k*q^2 <= 10^7, q^k < 10^4000) also
+    # bound the closed forms (q ** (k - 1), the surd powers), so a huge k
+    # exits 2 at once
     oracle = brute_quadric_count(ctx, args.k, c, nonzero_only=args.nonzero)
     formula = count_nf_star(ctx, args.k, c) if args.nonzero \
         else count_nf(ctx, args.k, c)

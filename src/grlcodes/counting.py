@@ -114,11 +114,17 @@ def brute_quadric_count(ctx: FieldCtx, k: int, c: int,
     k times add the histogram of x^2 over the pool (each nonzero square
     twice, 0 once unless nonzero_only).  O(k q^2) field operations in
     place of the q^k tuples, with the same count.
+
+    Two guards: the work k q^2 is at most 10^7, and q^k, which bounds
+    every count, has at most 4,000 digits, so the count prints under the
+    4,300-digit int-to-str limit of Python 3.11.
     """
     _check_length(k)
-    # q^24 >= 2^24 > 10^7, so the capped exponent decides a huge k as well
-    if ctx.q ** min(k, 24) > 10 ** 7:
-        raise TooLarge(f"q^k = {ctx.q}^{k} beyond the 10^7 enumeration guard")
+    q = ctx.q
+    if k * q * q > 10 ** 7:
+        raise TooLarge(f"k*q^2 = {k}*{q}^2 beyond the 10^7 work guard")
+    if q ** k >= 10 ** 4000:
+        raise TooLarge(f"q^k = {q}^{k} beyond the 4,000-digit output guard")
     pool = ctx.nonzero_elements() if nonzero_only else ctx.elements()
     squares = Counter(ctx.mul(x, x) for x in pool)
     hist = Counter({ZERO: 1})

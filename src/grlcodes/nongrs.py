@@ -1,41 +1,38 @@
-"""Certify that a code is not (generalized) Reed-Solomon.
+"""Decide whether a code is generalized Reed-Solomon (GRS), with a witness.
 
-Three routes with different strength:
+One decision, the generalized Cauchy criterion (R. M. Roth and
+G. Seroussi, IEEE Trans. IT 31(6), 1985).  With G = [I | B] on its RREF
+pivots, a code of length N over GF(q) is GRS iff N <= q, B has no zero
+entry, and, when min(k, N - k) >= 2, R = (1/b_ij) has rank 2 and no two
+rows and no two columns of B are proportional.  A GRS code has
+b_ij = c_i d_j / (x_i - y_j) on distinct points, so R has rank 2, and a
+repeated point makes a 2x2 minor of B vanish.  Conversely R = U W gives
+r_ij = det(P_i, Q_j) for distinct points of the projective line; N <= q
+leaves one free, which a Moebius map sends to infinity.
 
-* Schur square: the span of all pairwise coordinate products of basis
-  rows.  A GRS code of dimension k with 2k-1 < length has Schur square
-  dimension exactly 2k-1, and the dimension is invariant under monomial
-  equivalence, so any excess certifies non-GRS outright.  The dual
-  variant applies the same test to the dual code.
-* Cauchy column test: a standard-form generator [I | B] spans the plain
-  evaluation code on known points iff every column of B extends the
-  Cauchy pattern consistently.  Solving two rows for the putative new
-  point and checking the rest certifies "not RS in this coordinate
-  presentation" (recorded as such), or, when every column matches with
-  distinct recovered points, a genuine RS identification.
-* Exhaustive tiny search: for q <= 7 and length <= 8, enumerate every
-  GRS row space up to column permutation and compare canonical RREFs.
+Every witness is in G's coordinates, a row of B named by its pivot
+column.  `grs`: points and multipliers v, and GRS_k(points, v) is rebuilt
+and its RREF compared with G's before returning.  `non_grs`: the length,
+a zero entry of B, a nonzero 3x3 minor of R or a proportional pair.
+schur_square_dim and exhaustive_grs_check are independent test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, islice, permutations, product
 
-from .gf import ZERO, FieldCtx, GrlError, TooLarge
+from .gf import ZERO, FieldCtx, TooLarge
 from .grl import GrlSpec, build_generator
-from .hull import EUCLIDEAN, RankDeficient, dual_generator
-from .linalg import Matrix, rank, rref
-
-
-class DegenerateColumn(GrlError):
-    pass
+from .hull import RankDeficient
+from .linalg import Matrix, rank, rref, transpose
 
 
 @dataclass
 class NonGrsCertificate:
-    method: str     # CauchyColumn | SchurSquare | SchurSquareDual | ExhaustiveTiny
-    verdict: str    # non_grs | grs | inconclusive
+    method: str     # GeneralizedCauchy
+    verdict: str    # non_grs | grs
     evidence: dict
 
     def to_json_dict(self):
@@ -53,23 +50,6 @@ def elementary_symmetric(ctx: FieldCtx, alpha) -> list[int]:
     return sig
 
 
-def f_coeffs(ctx: FieldCtx, alpha, i: int) -> list[int]:
-    """Coefficients (ascending) of f_i(x) = prod_{j != i} (x - alpha_j),
-    from the signed power expansion over the elementary symmetrics."""
-    k = len(alpha)
-    sig = elementary_symmetric(ctx, alpha)
-    out = []
-    for j in range(1, k + 1):
-        acc = ZERO
-        for s in range(k - j + 1):
-            term = ctx.mul(sig[s], ctx.pow(alpha[i], k - j - s))
-            if s % 2:
-                term = ctx.neg(term)
-            acc = ctx.add(acc, term)
-        out.append(acc)
-    return out
-
-
 def standard_form(g: Matrix):
     """RREF-based standard form: returns (B, info_cols, other_cols) where
     the code has generator [I | B] after moving info_cols to the front."""
@@ -82,47 +62,79 @@ def standard_form(g: Matrix):
     return b, info, rest
 
 
-def _eta(ctx, pts, i):
-    acc = ctx.one()
-    for s, a in enumerate(pts):
-        if s != i:
-            acc = ctx.mul(acc, ctx.sub(pts[i], a))
-    return acc
+def grs_generator(ctx: FieldCtx, points, v, k: int) -> Matrix:
+    """k x N generator of GRS_k(points, v): row r is (v_j points_j^r)."""
+    return Matrix(ctx, [[ctx.mul(x, ctx.pow(a, r)) for a, x in zip(points, v)]
+                        for r in range(k)])
 
 
-def cauchy_column_test(ctx: FieldCtx, info_alpha, known_alpha, col):
-    """Try to extend the point set so that `col` is a Cauchy column.
+def _proportional_pair(ctx: FieldCtx, lines):
+    """First pair of proportional lines (no zero entries), else None."""
+    seen = {}
+    for i, line in enumerate(lines):
+        key = tuple(ctx.mul(x, ctx.inv(line[0])) for x in line)
+        if key in seen:
+            return [seen[key], i]
+        seen[key] = i
+    return None
 
-    info_alpha are the k points behind the identity part; known_alpha
-    are all points already used (the recovered point must avoid them).
-    Returns ('consistent', point, eta) or ('inconsistent', witness).
-    """
-    k = len(info_alpha)
-    if all(x == ZERO for x in col):
-        raise DegenerateColumn("all-zero column")
-    zeros = [i for i, x in enumerate(col) if x == ZERO]
-    if zeros:
-        return "inconsistent", {"reason": "zero entry", "rows": zeros[:2]}
-    etas = [_eta(ctx, info_alpha, i) for i in range(k)]
-    u0 = ctx.mul(col[0], etas[0])
-    u1 = ctx.mul(col[1], etas[1])
-    coef = ctx.sub(u0, u1)
-    if coef == ZERO:
-        return "inconsistent", {"reason": "no solvable point", "rows": [0, 1]}
-    rhs = ctx.sub(ctx.mul(u0, info_alpha[0]), ctx.mul(u1, info_alpha[1]))
-    point = ctx.mul(rhs, ctx.inv(coef))
-    eta_new = ctx.mul(u0, ctx.sub(point, info_alpha[0]))
-    if eta_new == ZERO:
-        return "inconsistent", {"reason": "recovered point collides", "rows": [0]}
-    for i in range(2, k):
-        want = ctx.mul(ctx.mul(col[i], etas[i]), ctx.sub(point, info_alpha[i]))
-        if want != eta_new:
-            return "inconsistent", {"reason": "row mismatch", "rows": [i],
-                                    "point": ctx.fmt(point)}
-    if point in known_alpha:
-        return "inconsistent", {"reason": "recovered point not new",
-                                "point": ctx.fmt(point)}
-    return "consistent", point, eta_new
+
+def certify(g: Matrix) -> NonGrsCertificate:
+    """The generalized Cauchy decision for the code G spans."""
+    ctx, k, nn = g.ctx, g.rows, g.cols
+
+    def non_grs(reason, **witness):
+        return NonGrsCertificate("GeneralizedCauchy", "non_grs",
+                                 {"reason": reason, **witness})
+
+    def div(a, c):   # a / c on the projective line: None is infinity
+        return None if c == ZERO else ctx.mul(a, ctx.inv(c))
+
+    if nn > ctx.q:
+        return non_grs("length", length=nn, q=ctx.q)
+    b, info, rest = standard_form(g)
+    for i, j in product(range(k), range(len(rest))):
+        if b.data[i][j] == ZERO:
+            return non_grs("zero entry", row=info[i], column=rest[j])
+    if min(k, len(rest)) < 2:
+        pts = list(islice(ctx.elements(), nn))
+    else:
+        for name, lines, coords in (("rows", b.data, info),
+                                    ("columns", transpose(b).data, rest)):
+            pair = _proportional_pair(ctx, lines)
+            if pair:
+                return non_grs(f"proportional {name}",
+                               **{name: [coords[i] for i in pair]})
+        r = Matrix(ctx, [[ctx.inv(x) for x in row] for row in b.data])
+        w, cols = rref(r)
+        if len(cols) > 2:
+            sub = Matrix(ctx, [[row[j] for row in r.data] for j in cols[:3]])
+            return non_grs("3x3 minor", rows=[info[i] for i in rref(sub)[1]],
+                           columns=[rest[j] for j in cols[:3]])
+        # r = U W with W the top rows of rref(r): P_i = (r_i,p0 : r_i,p1),
+        # Q_j = (-w_1j : w_0j), and r_ij = det(P_i, Q_j)
+        p0, p1 = cols
+        pts = [div(row[p0], row[p1]) for row in r.data] + \
+              [div(ctx.neg(w1), w0) for w0, w1 in zip(*w.data[:2])]
+        if None in pts:  # x -> 1/(x - t) sends a free t to infinity
+            t = next(x for x in ctx.elements() if x not in pts)
+            pts = [ZERO if x is None else ctx.inv(ctx.sub(x, t)) for x in pts]
+    # a GRS code is MDS, so info = 0..k-1, and B = D_x^-1 B_RS D_y
+    one = ctx.one()
+    b_rs = standard_form(grs_generator(ctx, pts, [one] * nn, k))[0].data
+    vy = [div(x, y) for x, y in zip(b.data[0], b_rs[0])]
+    vx = [div(ctx.mul(b_rs[i][0], vy[0]), b.data[i][0]) if vy else one
+          for i in range(k)]
+    if rref(grs_generator(ctx, pts, vx + vy, k))[0] != rref(g)[0]:
+        raise AssertionError("GRS witness does not rebuild the generator")
+    return NonGrsCertificate("GeneralizedCauchy", "grs",
+                             {"points": [ctx.fmt(x) for x in pts],
+                              "v": [ctx.fmt(x) for x in vx + vy]})
+
+
+def nongrs_certificate(spec: GrlSpec) -> NonGrsCertificate:
+    """GRS or not for the code of spec, with its witness (see certify)."""
+    return certify(build_generator(spec))
 
 
 def schur_square_dim(g: Matrix) -> int:
@@ -135,85 +147,33 @@ def schur_square_dim(g: Matrix) -> int:
     return rank(Matrix(ctx, rows))
 
 
+def _rref_key(m: Matrix) -> bytes:
+    return bytes(x + 1 for row in rref(m)[0].data for x in row)
+
+
+@lru_cache(maxsize=64)
+def _grs_row_spaces(ctx: FieldCtx, k: int, nn: int) -> frozenset:
+    """RREF keys of every GRS_k(points, v) with sorted points and v_0 = 1."""
+    out = set()
+    for pts in combinations(ctx.elements(), nn):
+        for vrest in product(ctx.nonzero_elements(), repeat=nn - 1):
+            out.add(_rref_key(grs_generator(ctx, pts, (ctx.one(),) + vrest,
+                                                k)))
+    return frozenset(out)
+
+
 def exhaustive_grs_check(g: Matrix):
     """Enumerate all GRS row spaces (q <= 7, length <= 8) and compare
-    canonical RREFs under every column permutation of g."""
+    canonical RREFs under every column permutation of g.  The row spaces
+    of each (field, k, length) are enumerated once per process."""
     ctx, k, nn = g.ctx, g.rows, g.cols
     if ctx.q > 7 or nn > 8:
         raise TooLarge("exhaustive check only for q <= 7 and length <= 8")
     if nn > ctx.q:
         return "non_grs", {"reason": f"length {nn} exceeds field size {ctx.q}"}
-    els = list(ctx.elements())
-    nz = list(ctx.nonzero_elements())
-    targets = set()
-    for pts in combinations(els, nn):
-        for vrest in product(nz, repeat=nn - 1):
-            v = (ctx.one(),) + vrest
-            gm = Matrix(ctx, [[ctx.mul(v[j], ctx.pow(pts[j], r))
-                               for j in range(nn)] for r in range(k)])
-            key = tuple(tuple(row) for row in rref(gm)[0].data)
-            targets.add(key)
+    targets = _grs_row_spaces(ctx, k, nn)
     for perm in permutations(range(nn)):
         pg = Matrix(ctx, [[row[j] for j in perm] for row in g.data])
-        key = tuple(tuple(row) for row in rref(pg)[0].data)
-        if key in targets:
+        if _rref_key(pg) in targets:
             return "grs", {"permutation": list(perm)}
     return "non_grs", {"reason": "no GRS row space matches any permutation"}
-
-
-def nongrs_certificate(spec: GrlSpec) -> NonGrsCertificate:
-    """Ordered battery: Schur square, dual Schur square, Cauchy columns,
-    exhaustive tiny search; first decisive method wins."""
-    g1 = build_generator(spec.with_unit_v())
-    ctx, k, nn = spec.ctx, spec.k, spec.length
-
-    # the square of a dimension-2 code spans at most 3 = 2k-1 dimensions,
-    # so the Schur route can only ever distinguish for dimension >= 3
-    if 2 * k - 1 < nn and k >= 3:
-        dim = schur_square_dim(g1)
-        if dim > 2 * k - 1:
-            return NonGrsCertificate(
-                method="SchurSquare", verdict="non_grs",
-                evidence={"dim": dim, "grs_dim": 2 * k - 1})
-
-    kd = nn - k
-    if 2 * kd - 1 < nn and kd >= 3:
-        dim = schur_square_dim(dual_generator(g1, EUCLIDEAN))
-        if dim > 2 * kd - 1:
-            return NonGrsCertificate(
-                method="SchurSquareDual", verdict="non_grs",
-                evidence={"dim": dim, "grs_dim": 2 * kd - 1})
-
-    b, info, rest = standard_form(g1)
-    if info == list(range(k)):
-        info_alpha = [spec.alpha[j] for j in info]
-        appended = [j for j, col in enumerate(rest) if col >= spec.n]
-        recovered = []
-        consistent = True
-        for j in range(b.cols):
-            # avoid the info points and everything recovered so far; an
-            # evaluation column recovers its own point, which is fine
-            res = cauchy_column_test(ctx, info_alpha, info_alpha + recovered,
-                                     b.col(j))
-            if res[0] == "consistent":
-                recovered.append(res[1])
-                continue
-            consistent = False
-            if j in appended:
-                return NonGrsCertificate(
-                    method="CauchyColumn", verdict="non_grs",
-                    evidence={"column": rest[j], "fixed_presentation": True,
-                              "witness": res[1]})
-        if consistent:
-            return NonGrsCertificate(
-                method="CauchyColumn", verdict="grs",
-                evidence={"points": [ctx.fmt(x) for x in recovered],
-                          "fixed_presentation": True})
-
-    if ctx.q <= 7 and nn <= 8:
-        verdict, ev = exhaustive_grs_check(build_generator(spec))
-        return NonGrsCertificate(method="ExhaustiveTiny", verdict=verdict,
-                                 evidence=ev)
-
-    return NonGrsCertificate(method="CauchyColumn", verdict="inconclusive",
-                             evidence={"reason": "no decisive method applied"})

@@ -11,8 +11,10 @@ asserts the proven obstruction elsewhere:
 * Of the four Hermitian attainability sets, H1 and H3 are checked at
   hull 3; H2 is checked at hull 0 under every primitive element of
   GF(11^2), and H4 against its structure-entry bound hull <= 1.
+* The non-GRS claim is checked for k > l and n > k; A.1 and B.1(1),
+  with n = k, are checked as GRS.
 
-The evidence for the last two items is in docs/decisions.md.
+The evidence for the last three items is in docs/decisions.md.
 """
 
 import random
@@ -29,11 +31,11 @@ from grlcodes.families import (FAMILIES, EUCLIDEAN_FAMILIES, FamilyParams,
                                sample_invertible, sweep)
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
-from grlcodes.hull import (EUCLIDEAN, HERMITIAN, hull_dim_bruteforce,
-                           hull_report)
+from grlcodes.hull import (EUCLIDEAN, HERMITIAN, dual_generator,
+                           hull_dim_bruteforce, hull_report)
 from grlcodes.linalg import Matrix, rank
-from grlcodes.nongrs import (exhaustive_grs_check, nongrs_certificate,
-                             schur_square_dim)
+from grlcodes.nongrs import (certify, exhaustive_grs_check,
+                             nongrs_certificate, schur_square_dim)
 
 
 def report_line(name, ok, detail=""):
@@ -411,16 +413,26 @@ def test_criterion_7a_vandermonde_tail_is_grs():
     assert ok
 
 
-def test_criterion_7b_corpus_codes_are_non_grs():
+def test_criterion_7b_corpus_codes_are_non_grs(witness):
+    """Every appendix row with n > k is non-GRS. A.1 and B.1(1) have n = k
+    and l = 2: their duals are 2-dimensional MDS codes of length <= q,
+    hence GRS, and so are they (docs/decisions.md, section 4)."""
     problems = []
     schur_checked = 0
     for row in load_rows("all"):
         spec = row.spec
         k, nn = spec.k, spec.length
         assert k > spec.l
+        g = build_generator(spec)
         cert = nongrs_certificate(spec)
-        if cert.verdict != "non_grs":
+        witness(g, cert)
+        want = "grs" if row.id in ("A.1", "B.1(1)") else "non_grs"
+        if cert.verdict != want:
             problems.append((row.id, cert.verdict))
+        if want == "grs":
+            dual = certify(dual_generator(g, EUCLIDEAN))
+            if (spec.n, nn - k, dual.verdict) != (k, 2, "grs"):
+                problems.append((row.id, "dual is not a 2-dim GRS code"))
         g1 = build_generator(spec.with_unit_v())
         # the Schur route distinguishes only for dimension >= 3: a
         # dimension-2 code has at most 3 = 2k-1 pairwise row products
@@ -430,13 +442,13 @@ def test_criterion_7b_corpus_codes_are_non_grs():
             schur_checked += 1
         kd = nn - k
         if 2 * kd - 1 < nn and kd >= 3:
-            from grlcodes.hull import dual_generator
             if schur_square_dim(dual_generator(g1, EUCLIDEAN)) <= 2 * kd - 1:
                 problems.append((row.id, "dual schur bound not exceeded"))
             schur_checked += 1
-    report_line("criterion 7b (non-GRS certificates on the corpus)",
+    report_line("criterion 7b (GRS verdicts with witnesses on the corpus)",
                 not problems,
-                f"33 codes certified, {schur_checked} Schur checks")
+                f"A.1 and B.1(1) GRS, 31 codes non-GRS, "
+                f"{schur_checked} Schur checks")
     assert not problems, problems
 
 

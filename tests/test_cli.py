@@ -6,6 +6,8 @@ from contextlib import contextmanager
 import pytest
 
 from grlcodes.cli import main
+from grlcodes.grl import GrlSpec, build_generator
+from grlcodes.nongrs import NonGrsCertificate
 
 
 A1_SPEC = {
@@ -31,7 +33,9 @@ def test_report_a1(a1_spec_file, capsys):
     assert (rep["n"], rep["k"], rep["d"]) == (7, 5, 3)
     assert rep["label"] == "MDS"
     assert rep["hull_euclidean"]["is_lcd"]
-    assert rep["nongrs"]["verdict"] == "non_grs"
+    # n = k: the [7, 2] dual is MDS of length <= q, so A.1 is GRS
+    assert rep["nongrs"]["verdict"] == "grs"
+    assert len(rep["nongrs"]["evidence"]["points"]) == 7
     assert out["manifest"]["modulus"] == [2, 0, 0, 2, 1]
 
 
@@ -112,11 +116,20 @@ def test_count_command(capsys):
     assert rc == 0 and out[0] == "8"
 
 
-def test_nongrs_command(a1_spec_file, capsys):
+def test_count_beyond_the_old_enumeration_guard(capsys):
+    # 101^6 tuples were once refused; the convolution costs 6 * 101^2
+    rc = main(["count", "--q", "101", "--k", "6", "--c", "0", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["agree"] is True
+
+
+def test_nongrs_command(a1_spec_file, capsys, witness):
     rc = main(["nongrs", "--spec", a1_spec_file])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert out["certificate"]["verdict"] == "non_grs"
+    cert = NonGrsCertificate(**out["certificate"])
+    assert (cert.method, cert.verdict) == ("GeneralizedCauchy", "grs")
+    witness(build_generator(GrlSpec.from_json_dict(A1_SPEC)), cert)
 
 
 def test_eaqecc_command(a1_spec_file, capsys):
@@ -220,7 +233,8 @@ BAD_INPUTS = {
     "count-q-zero-degree": (_count(q="3^0"), None, "degree"),
     "count-negative-k": (_count(k="-1"), None, "k = -1"),
     "count-zero-k": (_count(k="0"), None, "k = 0"),
-    "count-over-enumeration-guard": (_count(q="101", k="6"), None, "guard"),
+    "count-over-enumeration-guard": (_count(q="1019", k="10"), None, "guard"),
+    "count-over-output-guard": (_count(q="3", k="9000"), None, "guard"),
     "sweep-q-not-prime-power": (["sweep", "--family", "E1", "--q", "10"],
                                 None, "10 is not a prime power"),
     "sweep-q-one": (["sweep", "--family", "E1", "--q", "1"], None,
@@ -303,7 +317,7 @@ STDOUT_SHA256 = {
         "1286e2e389a3e5280ff72187ca44e3a8ec2a83bf6e57d2752b1b3e573d7cc41d"),
     "report-a1": (
         ["report", "--spec", SPEC],
-        "ab9ed4ca4eaf380787779fb20de65fac4988b4c3eb9d5be396603e889176046e"),
+        "c9e11bfa9c00c06e0b621362c2ca9fa91c1dbb35b5e5b17c6ff7405e050207a5"),
     "sweep-e1-cell": (
         ["sweep", "--family", "E1", "--q", "81", "--k", "5", "--l", "2",
          "--delta", "2", "--samples", "5", "--seed", "7"],

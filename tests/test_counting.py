@@ -73,14 +73,17 @@ def test_surd_sums_are_exact_integers():
 
 
 def test_enumeration_guard():
-    with pytest.raises(TooLarge):
-        brute_quadric_count(field_new(101), 4, ZERO)
+    # 10 * 1019^2 field operations, and 3^8384 with over 4,000 digits
+    with pytest.raises(TooLarge, match="work guard"):
+        brute_quadric_count(field_new(1019), 10, ZERO)
+    with pytest.raises(TooLarge, match="output guard"):
+        brute_quadric_count(field_new(3), 8384, ZERO)
 
 
 def test_convolution_matches_closed_forms_near_the_guard():
-    # 3^14 = 4,782,969 tuples, just under the 10^7 guard
+    # 3^8383 < 10^4000 <= 3^8384: the longest tuples the output guard admits
     ctx = field_new(3)
-    k = 14
+    k = 8383
     counts = [brute_quadric_count(ctx, k, c) for c in ctx.elements()]
     assert counts == [count_nf(ctx, k, c) for c in ctx.elements()]
     assert sum(counts) == 3 ** k
