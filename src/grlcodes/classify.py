@@ -1,22 +1,25 @@
 """Minimum distance, dual distance, Singleton defect, MDS/AMDS/NMDS labels.
 
-Production engines, one per quantity:
+Production engines, one per quantity, both signature engines: the tail
+of a GRL word sees a root set or an evaluation-column set only through
+its signature e_1..e_{l-1}, so each searches the distinct signatures of
+the s-subsets of the points (one DP, level by level, at most
+min(C(n, s), q^(l-1)) per level) instead of the subsets:
 
-* grl_min_distance (d): for evaluation codes with a coefficient tail,
-  length minus the largest achievable zero set (roots among the points
-  plus forced tail zeros), over root subsets of sizes k-1 down to k-l+1,
-  the only ones that can beat k-1 zeros, leaving a size once it reaches
-  its cap; the budget charges C(n, m) per size, an upper bound on the
-  subsets visited.
-* dual_min_distance (d-dual): the smallest dependent column set of the
-  generator, by the column search (depth-first over independent column
-  subsets in colex order, with incremental elimination), started at the
-  bound k - l + 2 that the generator's shape proves and restricted to
-  sets that contain a tail column.
+* grl_min_distance (d): length minus the largest zero set (roots among
+  the points plus forced tail zeros), over root levels k-1 down to
+  k-l+1, by the column ranks of C A per signature.
+* dual_min_distance (d-dual): the fewest dependent columns of G, over
+  evaluation-set levels k-l+1 upward, by the row ranks of A^-1 H per
+  signature (H from the complete symmetric functions).
+
+classify skips the d-dual search for an MDS code, whose dual is MDS.
 
 Oracles:
 
-* min_distance: the same column search on a parity-check matrix, from 1.
+* min_distance: the column search (depth-first over independent column
+  subsets in colex order, with incremental elimination) on a
+  parity-check matrix; it serves only as an oracle.
 * enum_min_distance: full codeword enumeration.
 """
 
@@ -24,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import comb
 
 from . import eaqecc
 from .gf import ZERO, GrlError, TooLarge
-from .grl import GrlSpec, build_generator
+from .grl import GrlSpec
 from .hull import EUCLIDEAN, HERMITIAN, dual_generator, hull_report
-from .linalg import Matrix, mat_mul, rank
-from .nongrs import elementary_symmetric, nongrs_certificate
+# rank is imported but unused: bench/test_bench.py checks that the tracer
+# patches a function into every module that imports it, here and in hull
+from .linalg import Matrix, echelon, rank, rank_rows  # noqa: F401
+from .nongrs import nongrs_certificate
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -106,13 +110,10 @@ def _insert(basis, piv, vec):
     return nb
 
 
-def _dfs_exact(ctx, cols, basis, start, remaining, counter, lead=None):
+def _dfs_exact(ctx, cols, basis, start, remaining, counter):
     """True iff some `remaining` columns from cols[start:] complete a
-    dependency on top of basis; the first is taken from cols[start:lead]."""
-    stop = len(cols) - remaining + 1
-    if lead is not None:
-        stop = min(stop, lead)
-    for j in range(start, stop):
+    dependency on top of basis."""
+    for j in range(start, len(cols) - remaining + 1):
         counter.tick()
         r = _reduce(ctx, cols[j], basis)
         p = _first_nonzero(r)
@@ -125,15 +126,11 @@ def _dfs_exact(ctx, cols, basis, start, remaining, counter, lead=None):
     return False
 
 
-def _min_dependent_columns(ctx, cols, nrows, budget, start=1, lead=None):
-    """Smallest w with w dependent columns; nrows+1 if none at w <= nrows.
-    `start` must be a proven bound: no fewer columns are dependent.  With
-    `lead`, every dependent set of at most nrows columns must meet
-    cols[:lead], and only sets that do are searched."""
+def _min_dependent_columns(ctx, cols, nrows, budget):
+    """Smallest w with w dependent columns; nrows+1 if none at w <= nrows."""
     counter = _Counter(budget)
-    counter.completed = start - 1
-    for w in range(start, nrows + 1):
-        if _dfs_exact(ctx, cols, [], 0, w, counter, lead):
+    for w in range(1, nrows + 1):
+        if _dfs_exact(ctx, cols, [], 0, w, counter):
             return w
         counter.completed = w
     return nrows + 1
@@ -169,6 +166,69 @@ def enum_min_distance(g: Matrix, limit: int = 2 * 10 ** 5) -> int:
     return best
 
 
+def _extend(ctx, level, points):
+    """The next signature level: each entry of ``level`` (signature of an
+    s-subset -> least last index of a subset that reaches it) extended by
+    every later point, e_i <- e_i + a e_{i-1} with e_0 = 1.  Any (s+1)-subset
+    is an s-subset plus its last point, which lies past that subset's last
+    index and so past the least one of its signature.  Points are visited
+    in order, so the first index that reaches a signature is the least,
+    and each level lists its entries in order of that index."""
+    n, zech = ctx.n, ctx.zech
+    sigs, lasts = list(level), list(level.values())
+    nxt = {}
+    ready = 0
+    for j, a in enumerate(points):
+        while ready < len(lasts) and lasts[ready] < j:
+            ready += 1
+        for i in range(ready):
+            sig = sigs[i]
+            if a >= 0:
+                out, prev = [], 0
+                for x in sig:
+                    if prev >= 0:
+                        t = (a + prev) % n
+                        if x < 0:
+                            y = t
+                        else:
+                            z = zech[(t - x) % n]
+                            y = ZERO if z < 0 else (x + z) % n
+                    else:
+                        y = x
+                    out.append(y)
+                    prev = x
+                sig = tuple(out)
+            if sig not in nxt:
+                nxt[sig] = j
+    return nxt
+
+
+def _levels_fit(n, q, width, s, budget):
+    """Whether an a-priori bound on the steps that build signature levels
+    1..s fits in the budget: level i extends at most min(C(n, i-1),
+    q^width) entries by at most n points.  Stops summing once it does not,
+    so a long spec is refused at once."""
+    cap, total, below = q ** width, 0, 1        # below = C(n, i-1)
+    for i in range(1, s + 1):
+        total += n * min(below, cap)
+        if total > budget:
+            return False
+        below = below * (n - i + 1) // i
+    return True
+
+
+def _largest_deficient(ctx, lines, r, lo):
+    """Largest t in [lo, len(lines) - 1] such that some t of the vectors
+    ``lines``, which together have rank r, have rank < r; 0 if none."""
+    if r == 1:
+        t = sum(line[0] < 0 for line in lines)
+        return t if t >= lo else 0
+    for t in range(len(lines) - 1, lo - 1, -1):
+        if any(rank_rows(ctx, sub) < r for sub in combinations(lines, t)):
+            return t
+    return 0
+
+
 def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum distance: length minus the most zeros of a nonzero word.
 
@@ -182,58 +242,91 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     value every code reaches, at m = k-l, and below it m + l < k.  So
     levels m = k-1 down to k-l+1 are searched while m + l - 1 > best,
     and t <= l-1 tail zeros are tried; a level is left as soon as best
-    reaches its cap m + l - 1.  The budget charges C(n, m) before level m
-    runs, an upper bound on the root subsets it visits.
+    reaches its cap m + l - 1.
+
+    C only reads P_R[m-j] = e_j(-R) for j < l, so each level is searched
+    once per signature e_1..e_{l-1}(-R), not once per root set: with
+    s[j] = e_j(-R), row i of C A is row l-km+i of T A, T[p][j] = s[p-j].
+    The budget charges the signature levels 1..k-1 before any is built.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
+    if not _levels_fit(n, ctx.q, l - 1, k - 1, budget):
+        raise BudgetExceeded(spec.length - (k - 1 + l), budget)
     neg = [ctx.neg(a) for a in spec.alpha]
+    level, levels = {(ZERO,) * (l - 1): -1}, {}
+    for s in range(1, k):
+        level = _extend(ctx, level, neg)
+        if s > k - l:
+            levels[s] = level
+    acols = [spec.a.col(u) for u in range(l)]
     best = k - 1
-    spent = 0
     for m in range(k - 1, k - l, -1):
         if m + l - 1 <= best:
             break
-        spent += comb(n, m)
-        if spent > budget:
-            # m + l - 1 would be sound too; m + l keeps the lower bounds
-            # the CLI prints, such as d >= 95 on [102, 6], where they were.
-            raise BudgetExceeded(spec.length - max(best, m + l), budget)
         km = k - m
-        for roots in combinations(range(n), m):
-            # prod_{r in R} (x - r) = sum_j e_j(-R) x^(m-j); reversed, ascending
-            poly = elementary_symmetric(ctx, [neg[i] for i in roots])[::-1]
-            c = [[poly[k - l + u - i] if 0 <= k - l + u - i <= m else ZERO
-                  for u in range(l)] for i in range(km)]
-            w = mat_mul(Matrix(ctx, c), spec.a)
-            for t in range(l - 1, best - m, -1):
-                if any(rank(Matrix(ctx, [[r[u] for u in cols]
-                                         for r in w.data])) < km
-                       for cols in combinations(range(l), t)):
-                    best = m + t
+        for sig in levels[m]:
+            s = (0,) + sig
+            rows = [s[p::-1] for p in range(l - km, l)]
+            cols = [[ctx.dot(row, acol) for row in rows] for acol in acols]
+            t = _largest_deficient(ctx, cols, km, best - m + 1)
+            if t:
+                best = m + t
+                if best == m + l - 1:
                     break
-            if best == m + l - 1:
-                break
     return spec.length - best
 
 
 def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact dual distance: the smallest dependent column set of G.
+    """Exact dual distance: the fewest columns of G that are dependent.
 
-    The tail columns carry A in GL_l, so they are independent and every
-    dependency has a nonzero part on the evaluation columns.  Rows
-    0..k-l-1 of G see only those columns (the tail is zero there), and
-    any k-l of them are independent there (scaled Vandermonde on distinct
-    points), so that part takes at least k-l+1 columns.  Any k evaluation
-    columns are independent, so a dependency of at most k columns also
-    takes a tail column.  Hence d-dual >= k - l + 2, where the column
-    search starts; the tail columns come first and each searched set
-    begins with one, which skips the C(n, w) independent sets of
-    evaluation columns alone.
+    Take e evaluation columns E and b tail columns T, c = e - k + l.  Rows
+    0..k-l-1 of G see only E, so the coefficients on E are
+    g(a_j) / (v_j P_E'(a_j)) with deg g < c, and none is left when c <= 0.
+    Rows k-l+rho then read H g + A_T t = 0 with H[rho][i] =
+    h_{rho+i+1-c}(E), the complete symmetric functions (h_0 = 1, h_s = 0
+    for s < 0).  With K = A^-1 H, E and T are dependent iff the rows of K
+    outside T have rank < c, so the least b for E is l minus the largest
+    row set of K with rank < c.  For c <= l, rows 0..c-1 of H are
+    anti-triangular with ones on the anti-diagonal, so rank H = c and
+    b >= 1; any k + 1 columns are dependent.  H reads only h_1..h_{l-1}(E),
+    which Newton's identity gives from s[i] = e_i(-E), i < l:
+    h_j = -(s[1] h_{j-1} + ... + s[j] h_0).  So e runs from k - l + 1 up,
+    once per signature of -E, and stops once e + 1 reaches the best.  The
+    budget charges signature level e before it is built.
     """
-    g = build_generator(spec)
-    n, l = spec.n, spec.l
-    cols = [g.col(n + u) for u in range(l)] + [g.col(j) for j in range(n)]
-    return _min_dependent_columns(g.ctx, cols, spec.k, budget,
-                                  start=spec.k - l + 2, lead=l)
+    ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
+    first = k - l + 1
+    if not _levels_fit(n, ctx.q, l - 1, first, budget):
+        raise BudgetExceeded(first + 1, budget)
+    aug = [row + [0 if u == i else ZERO for u in range(l)]
+           for i, row in enumerate(spec.a.data)]
+    echelon(ctx, aug)
+    ainv = [row[l:] for row in aug]
+    neg = [ctx.neg(a) for a in spec.alpha]
+    level = {(ZERO,) * (l - 1): -1}
+    for _ in range(1, first):
+        level = _extend(ctx, level, neg)
+    best = k + 1
+    for e in range(first, k):
+        if e + 1 >= best:
+            break
+        if not _levels_fit(n, ctx.q, l - 1, e, budget):
+            raise BudgetExceeded(e + 1, budget)
+        level = _extend(ctx, level, neg)
+        c = e - k + l
+        for sig in level:
+            s = (0,) + sig
+            h = [0]
+            for j in range(1, l):
+                h.append(ctx.neg(ctx.dot(s[1:j + 1], h[::-1])))
+            rows = [[ctx.dot(arow[c - 1 - i:], h) for i in range(c)]
+                    for arow in ainv]
+            t = _largest_deficient(ctx, rows, c, l - best + e + 1)
+            if t:
+                best = e + l - t
+                if best == e + 1:
+                    break
+    return best
 
 
 @dataclass
@@ -295,7 +388,8 @@ def classify(spec: GrlSpec, with_nongrs: bool = False) -> CodeReport:
     """Full report: distances, defect labels, hulls, EAQECC parameters."""
     nn = spec.length
     d = grl_min_distance(spec)
-    dd = dual_min_distance(spec)
+    # an MDS code has an MDS dual
+    dd = spec.k + 1 if d == nn - spec.k + 1 else dual_min_distance(spec)
     defect = nn + 1 - spec.k - d
     defect_dual = spec.k + 1 - dd
     rep = CodeReport(

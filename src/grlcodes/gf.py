@@ -387,9 +387,17 @@ class FieldCtx:
         return (a * e) % self.n
 
     def dot(self, xs, ys) -> int:
+        """sum x*y over the pairs of xs and ys (zip stops at the shorter)."""
+        n, zech = self.n, self.zech
         acc = ZERO
         for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
+            if x >= 0 and y >= 0:
+                t = (x + y) % n
+                if acc < 0:
+                    acc = t
+                else:
+                    z = zech[(t - acc) % n]
+                    acc = ZERO if z < 0 else (acc + z) % n
         return acc
 
     def frob(self, a: int) -> int:

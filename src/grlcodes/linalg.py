@@ -92,37 +92,22 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ShapeMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    ctx = a.ctx
-    n = ctx.n
-    zech = ctx.zech
-    bt = [[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)]
-    out = []
-    for arow in a.data:
-        orow = []
-        for bcol in bt:
-            acc = ZERO
-            for x, y in zip(arow, bcol):
-                if x >= 0 and y >= 0:
-                    t = (x + y) % n
-                    if acc < 0:
-                        acc = t
-                    else:
-                        z = zech[(t - acc) % n]
-                        acc = ZERO if z < 0 else (acc + z) % n
-            orow.append(acc)
-        out.append(orow)
-    return Matrix(ctx, out)
+    dot = a.ctx.dot
+    bt = [b.col(j) for j in range(b.cols)]
+    return Matrix(a.ctx, [[dot(arow, bcol) for bcol in bt] for arow in a.data])
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with first-nonzero pivoting.
+def echelon(ctx: FieldCtx, rows) -> list[int]:
+    """Bring the lists ``rows`` to reduced row echelon form in place, with
+    first-nonzero pivoting, and return the pivot columns.
 
-    Deterministic, so RREFs are canonical and comparable.
+    The one elimination kernel: rref and rank run on it, and the distance
+    engines call it on small row lists.
     """
-    ctx = m.ctx
     n, half, zech = ctx.n, ctx.half, ctx.zech
-    R = [row[:] for row in m.data]
-    nrows, ncols = m.rows, m.cols
+    R = rows
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -163,11 +148,27 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
         if r == nrows:
             break
-    return Matrix(ctx, R), tuple(pivots)
+    return pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with first-nonzero pivoting.
+
+    Deterministic, so RREFs are canonical and comparable.
+    """
+    R = [row[:] for row in m.data]
+    pivots = echelon(m.ctx, R)
+    return Matrix(m.ctx, R), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
+
+
+def rank_rows(ctx: FieldCtx, rows) -> int:
+    """Rank of the matrix with the given rows; the rows are left as they
+    are."""
+    return len(echelon(ctx, [list(row) for row in rows]))
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -14,7 +14,8 @@ Every witness is in G's coordinates, a row of B named by its pivot
 column.  `grs`: points and multipliers v, and GRS_k(points, v) is rebuilt
 and its RREF compared with G's before returning.  `non_grs`: the length,
 a zero entry of B, a nonzero 3x3 minor of R or a proportional pair.
-schur_square_dim and exhaustive_grs_check are independent test oracles.
+schur_square_dim and exhaustive_grs_check are independent test oracles,
+and elementary_symmetric is the oracle for classify's signature levels.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ class NonGrsCertificate:
 
 
 def elementary_symmetric(ctx: FieldCtx, alpha) -> list[int]:
-    """e_0..e_m of the given points, by incremental expansion."""
+    """e_0..e_m of the given points, by incremental expansion.
+
+    Kept only as a test oracle for the signature levels that
+    classify's distance engines build."""
     sig = [ctx.one()]
     for a in alpha:
         sig.append(ZERO)

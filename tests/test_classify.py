@@ -1,17 +1,19 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grlcodes.appendix import load_rows
-from grlcodes.classify import (BudgetExceeded, TooLarge, classify,
+from grlcodes.classify import (BudgetExceeded, TooLarge, _extend, classify,
                                dual_min_distance, enum_min_distance,
                                grl_min_distance, min_distance)
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import EUCLIDEAN, dual_generator
 from grlcodes.linalg import Matrix, rank
+from grlcodes.nongrs import elementary_symmetric
 
 
 def unit_spec(ctx, alpha, a_rows, k):
@@ -25,6 +27,15 @@ A22 = [["g^1", "g^2"], ["g^3", "g^5"]]
 def example_a1_spec():
     ctx = field_new(3, 4)
     return unit_spec(ctx, [ctx.element(16 * i + 2) for i in range(1, 6)], A22, 5)
+
+
+def example_a2_spec():
+    ctx = field_new(5, 2)
+    a = [["g^0", "g^1", "g^2", "g^1"],
+         ["g^1", "g^3", "g^5", "g^7"],
+         ["g^1", "g^6", "g^10", "g^14"],
+         ["g^3", "g^9", "g^15", "g^21"]]
+    return unit_spec(ctx, [ctx.element(3 * i + 1) for i in range(1, 9)], a, 8)
 
 
 def random_small_spec(rng, ctx, k=None, l=None):
@@ -69,7 +80,8 @@ def test_distance_methods_agree_with_enumeration():
 
 @st.composite
 def small_specs(draw):
-    """2 <= l <= k <= n <= q <= 27; alpha may hold 0; v and A are random."""
+    """2 <= l <= k <= n <= q <= 27; alpha holds 0 in at least half the
+    draws; v and A are random."""
     p, m = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
                                  (13, 1), (5, 2), (3, 3)]))
     ctx = field_new(p, m)
@@ -77,6 +89,8 @@ def small_specs(draw):
     l = draw(st.integers(2, k))
     n = draw(st.integers(k, min(ctx.q, k + 4)))
     alpha = draw(st.permutations(list(ctx.elements())))[:n]
+    if draw(st.booleans()) and ZERO not in alpha:
+        alpha[draw(st.integers(0, n - 1))] = ZERO
     v = draw(st.lists(st.sampled_from(list(ctx.nonzero_elements())),
                       min_size=n, max_size=n))
     row = st.lists(st.sampled_from(list(ctx.elements())), min_size=l,
@@ -87,18 +101,68 @@ def small_specs(draw):
     return GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=k)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(small_specs())
 def test_root_subset_search_matches_column_search(spec):
-    """The root levels k-1..k-l+1 and tail sizes t <= l-1 that
-    grl_min_distance searches hold every maximal zero pattern."""
-    assert grl_min_distance(spec) == min_distance(build_generator(spec))
+    """Both signature engines agree with the column search on G and on a
+    parity-check matrix, and an MDS code has an MDS dual."""
+    g = build_generator(spec)
+    d, dd = grl_min_distance(spec), dual_min_distance(spec)
+    assert d == min_distance(g)
+    assert dd == min_distance(dual_generator(g, EUCLIDEAN))
+    if d == spec.length - spec.k + 1:
+        assert dd == spec.k + 1
+
+
+def test_engines_match_column_search_on_appendix():
+    """d-dual against the column search on a parity-check matrix on every
+    appendix row, and d on the rows with n <= 14 (the column search on a
+    longer row takes from seconds to far beyond a test's time)."""
+    checked = 0
+    for row in load_rows("all"):
+        g = build_generator(row.spec)
+        assert (dual_min_distance(row.spec)
+                == min_distance(dual_generator(g, EUCLIDEAN))), row.id
+        if row.spec.n <= 14:
+            assert grl_min_distance(row.spec) == min_distance(g), row.id
+            checked += 1
+    assert checked == 27
+
+
+def _subset_signatures(ctx, points, s, width):
+    """{e_1..e_width(S): least last index} over the s-subsets S, from
+    elementary_symmetric on each subset."""
+    out = {}
+    for idx in combinations(range(len(points)), s):
+        sig = (elementary_symmetric(ctx, [points[i] for i in idx])
+               + [ZERO] * width)[1:width + 1]
+        key = tuple(sig)
+        out[key] = min(out.get(key, idx[-1]), idx[-1])
+    return out
+
+
+def test_signature_levels_match_elementary_symmetric():
+    """Each DP level equals the signatures of the s-subsets, with the
+    least last index of a subset that reaches each one, listed in order
+    of that index."""
+    rng = random.Random(12)
+    for p, m, n, width in ((5, 1, 5, 1), (7, 1, 7, 2), (3, 2, 8, 3),
+                           (11, 1, 9, 2), (3, 3, 8, 3)):
+        ctx = field_new(p, m)
+        points = rng.sample(list(ctx.elements()), n)
+        level = {(ZERO,) * width: -1}
+        for s in range(1, n + 1):
+            level = _extend(ctx, level, points)
+            assert level == _subset_signatures(ctx, points, s, width)
+            # the next level relies on this order
+            assert list(level.values()) == sorted(level.values())
+        assert len(level) == 1
 
 
 def test_dual_distance_agrees_with_enumeration():
     """d-dual against the parity-check column search (from w = 1, on
     another basis of the code) and, where small, full enumeration; the
-    shapes l = k and l = 2 put the search's start k - l + 2 at 2 and k."""
+    shapes l = k and l = 2 put the lower bound k - l + 2 at 2 and k."""
     rng = random.Random(77)
     specs = []
     for p, m in ((5, 1), (3, 2), (11, 1)):
@@ -139,38 +203,43 @@ def test_budget_exceeded_carries_lower_bound():
 
 
 def test_grl_min_distance_budget_on_long_code():
-    # [102, 6] over GF(101): C(100, 5) root subsets, far beyond the budget
-    ctx = field_new(101)
+    # [103, 6] over GF(99991), l = 3: the signature levels up to k - 1 = 5
+    # hold up to min(C(100, s), 99991^2) entries; level 4 alone may cost
+    # 100 * C(100, 3) > 10^7, so the search stops before it builds any
+    ctx = field_new(99991)
     alpha = [ctx.element(e) for e in range(1, 101)]
-    spec = unit_spec(ctx, alpha, [["g^0", "g^1"], ["g^2", "g^4"]], 6)
+    spec = unit_spec(ctx, alpha, [["g^0", "0", "0"], ["0", "g^0", "0"],
+                                  ["0", "0", "g^0"]], 6)
     with pytest.raises(BudgetExceeded) as exc:
-        grl_min_distance(spec, budget=1000)
-    assert exc.value.lower_bound == 95 and exc.value.budget == 1000
-    assert str(exc.value) == "distance search exceeded budget 1000; d >= 95"
+        grl_min_distance(spec)
+    assert exc.value.lower_bound == 95 and exc.value.budget == 10 ** 7
+    assert str(exc.value) == ("distance search exceeded budget 10000000; "
+                              "d >= 95")
 
 
 def test_grl_min_distance_charges_each_level_in_full():
-    # A.1 is [7, 5] with n = 5, l = 2: only level m = k - 1 = 4 can beat
-    # the start value, and it costs C(5, 4) = 5 root subsets
+    # A.1 is [7, 5] with n = 5, l = 2 over GF(81): d needs the signature
+    # levels 1..k-1 = 4, which cost 5 * (1 + 5 + 10 + 10) = 130 steps
     spec = example_a1_spec()
-    assert grl_min_distance(spec, budget=5) == 3
+    assert grl_min_distance(spec, budget=130) == 3
     with pytest.raises(BudgetExceeded) as exc:
-        grl_min_distance(spec, budget=4)
-    assert exc.value.lower_bound == 1 and exc.value.budget == 4
-    assert str(exc.value) == "distance search exceeded budget 4; d >= 1"
+        grl_min_distance(spec, budget=129)
+    assert exc.value.lower_bound == 1 and exc.value.budget == 129
+    assert str(exc.value) == "distance search exceeded budget 129; d >= 1"
 
 
-def test_dual_search_skips_evaluation_only_sets():
-    # [30, 4] MDS over GF(101), points 1..28: d-dual = k + 1, so level
-    # k = 4 holds no dependency and is searched in full.  All C(30, 4) =
-    # 27405 column sets exceed the budget; the 6930 that contain a tail
-    # column (any 4 evaluation columns are independent) fit.
-    ctx = field_new(101)
-    alpha = [ctx.from_int(x) for x in range(1, 29)]
-    spec = GrlSpec(ctx=ctx, alpha=alpha, v=[ctx.one()] * 28,
-                   a=Matrix(ctx, [[ctx.one(), ZERO], [ZERO, ctx.one()]]), k=4)
-    assert grl_min_distance(spec) == spec.length - spec.k + 1
-    assert dual_min_distance(spec, budget=10_000) == spec.k + 1
+def test_dual_budget_charges_each_signature_level():
+    # A.2 is [12, 8, 4] with n = 8, l = 4 and d-dual = 8.  The search
+    # starts at e = k - l + 1 = 5 evaluation columns, after levels 1..5,
+    # which cost 8 * (1 + 8 + 28 + 56 + 70) = 1304 steps; level 6 costs
+    # 8 * C(8, 5) = 448 more.  Level 5 holds no dependency of weight 6,
+    # so stopping before level 6 proves d-dual >= 7; level 6 finds 8.
+    spec = example_a2_spec()
+    assert dual_min_distance(spec, budget=1752) == 8
+    for budget, lower in ((1751, 7), (1303, 6)):
+        with pytest.raises(BudgetExceeded) as exc:
+            dual_min_distance(spec, budget=budget)
+        assert exc.value.lower_bound == lower and exc.value.budget == budget
 
 
 def test_budget_lower_bounds_are_sound(appendix_results):
@@ -209,13 +278,7 @@ def test_classify_example_a1():
 
 
 def test_classify_example_a2_nmds():
-    ctx = field_new(5, 2)
-    a = [["g^0", "g^1", "g^2", "g^1"],
-         ["g^1", "g^3", "g^5", "g^7"],
-         ["g^1", "g^6", "g^10", "g^14"],
-         ["g^3", "g^9", "g^15", "g^21"]]
-    spec = unit_spec(ctx, [ctx.element(3 * i + 1) for i in range(1, 9)], a, 8)
-    rep = classify(spec)
+    rep = classify(example_a2_spec())
     assert rep.params == (12, 8, 4)
     assert rep.label == "NMDS"
     assert rep.hull_e.is_lcd
@@ -257,12 +320,16 @@ def test_distance_depends_on_the_generator_convention():
 
 
 def test_every_mds_appendix_report_has_mds_dual(appendix_results):
-    seen = 0
-    for r in appendix_results.values():
-        if r.report.label == "MDS":
-            assert r.report.d_dual == r.report.k + 1, r.id
-            seen += 1
-    assert seen >= 4  # the corpus carries several MDS rows
+    """classify takes d-dual = k + 1 from d = N - k + 1 without a search;
+    the d-dual search agrees on each MDS row."""
+    mds = []
+    for row in load_rows("all"):
+        rep = appendix_results[row.id].report
+        if rep.label == "MDS":
+            assert rep.d_dual == rep.k + 1, row.id
+            assert dual_min_distance(row.spec) == rep.k + 1, row.id
+            mds.append(row.id)
+    assert mds == ["A.1", "A.6(2)", "B.1(1)", "B.2"]
 
 
 def test_singleton_defect_nonnegative():

@@ -197,10 +197,17 @@ def test_usage_error_exit_code():
 SPEC, DIR = "<spec>", "<dir>"   # replaced by a spec file / a directory
 SINGULAR_A = {**A1_SPEC, "A": [["1", "1"], ["1", "1"]]}
 REPEATED_ALPHA = {**A1_SPEC, "alpha": ["g^18", "g^18", "g^50", "g^66", "g^2"]}
-# [102, 6] over GF(101): the first root level alone is C(100, 5) subsets
+# [102, 6] over GF(101): C(100, 5) root subsets, but at most 101
+# signatures e_1 per root level
 LONG_CODE = {"field": "101", "k": 6, "l": 2,
              "alpha": [f"g^{e}" for e in range(1, 101)],
              "A": [["g^0", "g^1"], ["g^2", "g^4"]]}
+# [103, 6] over GF(99991), l = 3: the signatures (e_1, e_2) of the 3- and
+# 4-subsets of 100 points may all differ, beyond the default budget
+WIDE_TAIL_CODE = {"field": "99991", "k": 6, "l": 3,
+                  "alpha": [f"g^{e}" for e in range(1, 101)],
+                  "A": [["g^0", "0", "0"], ["0", "g^0", "0"],
+                        ["0", "0", "g^0"]]}
 COUNT = ["count", "--q", "5", "--k", "2", "--c", "0"]
 CELL = ["sweep", "--family", "E1", "--q", "81", "--delta", "2"]
 
@@ -260,7 +267,7 @@ BAD_INPUTS = {
         "no theorem claim applies: k must divide q-1"),
     "sweep-cell-zero-samples": (CELL + ["--k", "5", "--l", "2", "--samples",
                                         "0"], None, "audited nothing"),
-    "report-distance-budget": (["report", "--spec", SPEC], LONG_CODE,
+    "report-distance-budget": (["report", "--spec", SPEC], WIDE_TAIL_CODE,
                                "error: distance search exceeded budget "
                                "10000000; d >= 95"),
 }
@@ -296,6 +303,16 @@ def test_input_error_exits_2_with_one_error_line(argv, spec, needle, tmp_path,
     assert "Traceback" not in err
     if needle is not None:
         assert needle in lines[0]
+
+
+def test_report_decides_the_long_code(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(LONG_CODE))
+    with _deadline(10):
+        rc = main(["report", "--spec", str(path), "--no-nongrs"])
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rc == 0
+    assert (rep["n"], rep["k"], rep["d"], rep["d_dual"]) == (102, 6, 96, 6)
 
 
 def test_report_leaves_a_root_level_at_its_cap(tmp_path, capsys):
