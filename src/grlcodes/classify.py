@@ -345,10 +345,6 @@ class CodeReport:
     eaqecc: dict = field(default_factory=dict)
     nongrs: object = None
 
-    @property
-    def params(self):
-        return (self.n, self.k, self.d)
-
     def to_json_dict(self):
         out = {
             "n": self.n, "k": self.k, "d": self.d, "d_dual": self.d_dual,

@@ -19,7 +19,7 @@ from . import __version__
 from .appendix import run_appendix
 from .classify import classify
 from .counting import brute_quadric_count, count_nf, count_nf_star
-from .families import (FamilyParams, NoClaim, audit, family_ctx,
+from .families import (FAMILIES, FamilyParams, NoClaim, audit,
                        precondition_gap, sample_invertible, sweep)
 from .gf import GrlError, field_from_str
 from .grl import GrlSpec
@@ -88,7 +88,6 @@ def cmd_appendix(args):
 def cmd_sweep(args):
     if args.k is not None and args.l is not None:
         # a single audited cell
-        ctx = family_ctx(args.family, args.q)
         rng = random.Random(args.seed)
         records = []
         shifts = {}
@@ -99,12 +98,12 @@ def cmd_sweep(args):
         elif args.family != "E4":
             shifts = {"delta": args.delta if args.delta is not None else 1}
         cell = FamilyParams(family=args.family, q=args.q, k=args.k,
-                            l=args.l, a=None, **shifts)
+                            l=args.l, **shifts)
         gap, _ = precondition_gap(cell)
         if gap:  # before any A is drawn: a wide tail is slow to sample
             raise NoClaim(gap)
         for _ in range(args.samples):
-            a = sample_invertible(ctx, args.l, rng)
+            a = sample_invertible(cell.ctx, args.l, rng)
             records.append(audit(replace(cell, a=a)))
         exhausted = False
     else:
@@ -194,8 +193,7 @@ def build_parser():
     p.set_defaults(func=cmd_appendix)
 
     p = sub.add_parser("sweep", help="audit a family against its predictions")
-    p.add_argument("--family", required=True,
-                   choices=["E1", "E2", "E3", "E4", "H1", "H2", "H3", "H4"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)

@@ -17,15 +17,19 @@ H4   a, gamma*a, .., g^d * a  (d+1)k     LCD / hull 1 / 2 / <= l
 
 E-families live over GF(q) with k | q-1; H-families over GF(q^2) with
 k | q^2-1, splitting into k | q-1 (anti-diagonal Gram) and k | q+1
-(diagonal Gram) regimes.  predict() evaluates every hypothesis exactly
-and returns the strongest applicable claim with the evaluated terms
-attached; audit() then builds the code and compares the computed hull.
+(diagonal Gram) regimes.  A cell of a sweep is one FamilyParams: family,
+q, k, l and the shifts, with the matrix A once one is drawn.  It derives
+its field (ctx), whether it is Hermitian, its block shifts and its code
+length.  predict() evaluates every hypothesis exactly and returns the
+strongest applicable claim with the evaluated terms attached; audit()
+then builds the code and compares the computed hull.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import gcd
 
 from .gf import (FIELD_SIZE_CAP, ZERO, FieldCtx, FieldTooLarge, GrlError,
@@ -51,14 +55,37 @@ class FamilyParams:
     q: int          # base q; the working field is GF(q) or GF(q^2)
     k: int
     l: int
-    a: Matrix
+    a: Matrix | None = None
     delta: int | None = None
     s: int | None = None
     t: int | None = None
 
     @property
     def ctx(self) -> FieldCtx:
-        return self.a.ctx
+        return family_ctx(self.family, self.q)
+
+    @property
+    def hermitian(self) -> bool:
+        return self.family in HERMITIAN_FAMILIES
+
+    @property
+    def shifts(self) -> list[int]:
+        """Exponent shift of each evaluation block, in point order."""
+        fam = self.family
+        if fam in ("E1", "E2", "H1", "H2"):
+            return [self.delta]
+        if fam in ("E3", "H3"):
+            return [self.s, self.t]
+        if fam == "E4":
+            return [0, 1, 2]
+        if fam == "H4":
+            return list(range(self.delta + 1))
+        raise GrlError(f"unknown family {fam}")
+
+    @property
+    def length(self) -> int:
+        """k points per block, plus the zero point of E2 and H2."""
+        return len(self.shifts) * self.k + (self.family in ("E2", "H2"))
 
     def shifts_desc(self):
         if self.family in ("E3", "H3"):
@@ -96,8 +123,9 @@ class AuditRecord:
                 "computed_hull": self.computed_hull, "passed": self.passed}
 
 
+@lru_cache(maxsize=None)
 def family_ctx(family: str, q: int) -> FieldCtx:
-    """GF(q) for E-families, GF(q^2) for H-families."""
+    """GF(q) for E-families, GF(q^2) for H-families; cached."""
     if q > FIELD_SIZE_CAP:  # before q is factored
         raise FieldTooLarge(f"q = {q} exceeds cap {FIELD_SIZE_CAP}")
     primes = prime_factors(q)
@@ -108,37 +136,16 @@ def family_ctx(family: str, q: int) -> FieldCtx:
     return field_new(p, m if family in EUCLIDEAN_FAMILIES else 2 * m)
 
 
-def group_order(params: FamilyParams) -> int:
-    return params.q - 1 if params.family in EUCLIDEAN_FAMILIES \
-        else params.q * params.q - 1
-
-
-def _shift_list(params: FamilyParams):
-    fam = params.family
-    if fam in ("E1", "E2", "H1", "H2"):
-        return [params.delta]
-    if fam in ("E3", "H3"):
-        return [params.s, params.t]
-    if fam == "E4":
-        return [0, 1, 2]
-    if fam == "H4":
-        return list(range(params.delta + 1))
-    raise GrlError(f"unknown family {fam}")
-
-
 def make_alpha(params: FamilyParams) -> list[int]:
     """Assembled evaluation points; raises DistinctnessViolation with the
     colliding pair and the divisibility clause that failed."""
-    ctx = params.ctx
-    order = group_order(params)
-    k = params.k
-    if order % k:
-        raise NotADivisor(f"k = {k} must divide the group order {order}")
-    step = order // k
-    alpha = []
-    for shift in _shift_list(params):
-        alpha.extend(ctx.element(step * i + shift) for i in range(1, k + 1))
-    if params.family in ("E2", "H2"):
+    ctx, k = params.ctx, params.k
+    if ctx.n % k:
+        raise NotADivisor(f"k = {k} must divide the group order {ctx.n}")
+    step = ctx.n // k
+    alpha = [ctx.element(step * i + shift)
+             for shift in params.shifts for i in range(1, k + 1)]
+    if len(alpha) < params.length:
         alpha.insert(0, ZERO)
     seen = {}
     for pos, x in enumerate(alpha):
@@ -180,14 +187,16 @@ def _shape_gap(params):
     """Why the block shifts admit no claim at all, or None; assumes k
     divides the group order."""
     fam, q, k = params.family, params.q, params.k
-    if fam in ("E3", "H3") and \
-            (params.s - params.t) % (group_order(params) // k) == 0:
-        order = "(q-1)" if fam == "E3" else "(q^2-1)"
+    step = params.ctx.n // k
+    order = "(q^2-1)" if params.hermitian else "(q-1)"
+    if fam in ("E3", "H3") and (params.s - params.t) % step == 0:
         return f"blocks collide: {order}/k divides s-t"
     if fam == "E4" and q - 1 in (k, 2 * k, 3 * k):
         return "q-1 in {k, 2k, 3k}"
     if fam == "H4" and not 1 <= params.delta <= q:
         return "need 1 <= delta <= q"
+    if fam == "H4" and step <= params.delta:
+        return f"blocks collide: {order}/k <= delta"
     return None
 
 
@@ -199,7 +208,7 @@ def _block_corner(params):
     q, k, l = params.q, params.k, params.l
     if (q - 1) % k or _shape_gap(params):
         return None
-    if params.family in EUCLIDEAN_FAMILIES:
+    if not params.hermitian:
         unit = k
     elif params.family == "H4":
         unit = l + (k - l) * q
@@ -207,7 +216,7 @@ def _block_corner(params):
         unit = (k - l) + l * q
     ctx = params.ctx
     x = ZERO
-    for shift in _shift_list(params):
+    for shift in params.shifts:
         x = ctx.add(x, ctx.element(shift * unit))
     return x
 
@@ -217,11 +226,10 @@ def _corner(params, w):
     as theta for the E-families)."""
     ctx = params.ctx
     x = _block_corner(params)
-    euclid = params.family in EUCLIDEAN_FAMILIES
     corner = ctx.add(ctx.mul(ctx.from_int(params.k), x),
                      _row_norm_sum(ctx, params.a.data[0],
-                                   2 if euclid else 1 + params.q))
-    if euclid:
+                                   1 + params.q if params.hermitian else 2))
+    if not params.hermitian:
         w["theta"] = ctx.fmt(x)
     w["corner"] = ctx.fmt(corner)
     return corner
@@ -303,11 +311,10 @@ def precondition_gap(params: FamilyParams):
     q, k, l = params.q, params.k, params.l
     if not 2 <= l <= k:
         return "need 2 <= l <= k", {}
-    if group_order(params) % k:
-        euclid = params.family in EUCLIDEAN_FAMILIES
-        return f"k must divide {'q-1' if euclid else 'q^2-1'}", {}
+    if params.ctx.n % k:
+        return f"k must divide {'q^2-1' if params.hermitian else 'q-1'}", {}
     w = {"narrow": 2 * l < k, "half": 2 * l == k}
-    if params.family in HERMITIAN_FAMILIES:
+    if params.hermitian:
         w["k_div_q_minus_1"] = (q - 1) % k == 0
         w["k_div_q_plus_1"] = (q + 1) % k == 0
     return _shape_gap(params), w
@@ -319,9 +326,9 @@ def predict(params: FamilyParams) -> Prediction:
     gap, w = precondition_gap(params)
     if gap:
         return _none(gap, **w)
-    if params.family in EUCLIDEAN_FAMILIES:
-        return _predict_euclidean(params, w)
-    return _predict_hermitian(params, w)
+    if params.hermitian:
+        return _predict_hermitian(params, w)
+    return _predict_euclidean(params, w)
 
 
 def _predict_euclidean(params, w):
@@ -362,8 +369,7 @@ def _predict_euclidean(params, w):
 
 def _predict_hermitian(params, w):
     ctx, q, k, l = params.ctx, params.q, params.k, params.l
-    fam = params.family
-    order = q * q - 1
+    fam, order = params.family, ctx.n
     kq1, kq2 = w["k_div_q_minus_1"], w["k_div_q_plus_1"]
 
     if fam == "H1":
@@ -436,7 +442,7 @@ def audit(params: FamilyParams) -> AuditRecord:
     pred = predict(params)
     if pred.claim == "none":
         raise NoClaim(pred.clause)
-    inner = EUCLIDEAN if params.family in EUCLIDEAN_FAMILIES else HERMITIAN
+    inner = HERMITIAN if params.hermitian else EUCLIDEAN
     computed = hull_report(build_spec(params), inner).hull_dim
     if pred.claim == "lcd":
         passed = computed == 0
@@ -502,7 +508,7 @@ def _tail_widths(k):
         out.add((k - 1) // 2)
     if k % 2 == 0:
         out.add(k // 2)
-    return sorted(w for w in out if w >= 2)
+    return sorted(w for w in out if 2 <= w <= k)
 
 
 def corpus_cells(family: str, qs=None, k_range=(4, 16)):
@@ -512,22 +518,16 @@ def corpus_cells(family: str, qs=None, k_range=(4, 16)):
             else (3, 5, 9, 11, 13)
     cells = []
     for q in qs:
-        ctx = family_ctx(family, q)
-        order = ctx.n
-        blocks = {"E1": 1, "E2": 1, "E3": 2, "E4": 3,
-                  "H1": 1, "H2": 1, "H3": 2}.get(family)
-        if family in EUCLIDEAN_FAMILIES:
-            ks = [k for k in _divisors_in_range(q - 1, *k_range)
-                  if blocks * k + (1 if family == "E2" else 0) <= q]
-        else:
-            ks = _divisors_in_range(order, *k_range)
+        order = family_ctx(family, q).n
+        ks = _divisors_in_range(order, *k_range)
+        if family in HERMITIAN_FAMILIES:
             ks = [k for k in ks if (q - 1) % k == 0 or (q + 1) % k == 0]
         for k in ks:
             for l in _tail_widths(k):
-                if l > k:
-                    continue
                 for shifts in _shift_grid(family, q, k, order):
-                    cells.append((q, k, l, shifts))
+                    cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
+                    if cell.hermitian or cell.length <= q:
+                        cells.append((q, k, l, shifts))
     return cells
 
 
@@ -556,26 +556,24 @@ def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
           seed: int = 0, budget: int = 10 ** 6):
     """Deterministic seeded sweep; returns (records, exhausted_budget)."""
     rng = random.Random(seed)
-    hermitian = family in HERMITIAN_FAMILIES
     records = []
     for q, k, l, shifts in corpus_cells(family, qs, k_range):
-        ctx = family_ctx(family, q)
+        cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
+        ctx = cell.ctx
         mats = [sample_invertible(ctx, l, rng) for _ in range(samples)]
         if 2 * l == k and mats:
             # aim for the corner-zero equality clauses as well
-            probe = FamilyParams(family=family, q=q, k=k, l=l,
-                                 a=mats[0], **shifts)
-            target = _corner_target(probe)
+            target = _corner_target(cell)
             if target is not None:
-                extra = sample_first_row_sum(ctx, l, target, rng, hermitian)
+                extra = sample_first_row_sum(ctx, l, target, rng,
+                                             cell.hermitian)
                 if extra is not None:
                     mats.append(extra)
         for a in mats:
             if len(records) >= budget:
                 return records, True
-            params = FamilyParams(family=family, q=q, k=k, l=l, a=a, **shifts)
             try:
-                records.append(audit(params))
+                records.append(audit(replace(cell, a=a)))
             except (NoClaim, DistinctnessViolation, NotADivisor,
                     InvariantViolation):
                 continue

@@ -107,10 +107,6 @@ class GrlSpec:
             raise InvariantViolation([f"A is {a.rows}x{a.cols} but l={d['l']}"])
         return cls(ctx=ctx, alpha=alpha, v=v, a=a, k=d["k"])
 
-    def with_unit_v(self) -> "GrlSpec":
-        return GrlSpec(ctx=self.ctx, alpha=self.alpha, v=[0] * self.n,
-                       a=self.a, k=self.k)
-
 
 def build_generator(spec: GrlSpec) -> Matrix:
     """k x (n+l) generator of rank k: Vandermonde-type block, then the A

@@ -18,6 +18,7 @@ The evidence for the last three items is in docs/decisions.md.
 """
 
 import random
+from dataclasses import replace
 from itertools import product
 from math import gcd
 
@@ -160,7 +161,7 @@ def test_criterion_2_b4_exception_as_stated():
     def stated_under_source_generator(r):
         rep = classify(reexpress(r.spec, B4_SOURCE_GENERATOR))
         claim = (14, 6, 8) if r.spec.l == 2 else (15, 6, 9)
-        return (rep.params == claim and rep.label == "NMDS"
+        return ((rep.n, rep.k, rep.d) == claim and rep.label == "NMDS"
                 and rep.hull_h.is_lcd)
 
     non_nmds_l3 = sorted(rid for rid, r in rows.items()
@@ -171,7 +172,7 @@ def test_criterion_2_b4_exception_as_stated():
         "g^25 has minimal polynomial x^2+9x+2":
             min_poly(ctx, ctx.element(B4_SOURCE_GENERATOR)) == [2, 9, 1],
         "under g^25: [15,6,8] Hermitian LCD, not NMDS":
-            src.params == (15, 6, 8) and src.hull_h.is_lcd
+            (src.n, src.k, src.d) == (15, 6, 8) and src.hull_h.is_lcd
             and src.label != "NMDS",
         "under g^25: parity-check search gives d = 8":
             min_distance(build_generator(src_spec)) == src.d == 8,
@@ -180,7 +181,8 @@ def test_criterion_2_b4_exception_as_stated():
                                     for rid, r in rows.items()
                                     if rid != B4_EXCEPTION),
         "pinned: [15,6,9] Hermitian LCD AMDS":
-            pinned.params == (15, 6, 9) and pinned.hull_h.is_lcd
+            (pinned.n, pinned.k, pinned.d) == (15, 6, 9)
+            and pinned.hull_h.is_lcd
             and pinned.label == "AMDS",
         "pinned: parity-check search gives d = 9":
             min_distance(build_generator(row.spec)) == pinned.d == 9,
@@ -433,7 +435,7 @@ def test_criterion_7b_corpus_codes_are_non_grs(witness):
             dual = certify(dual_generator(g, EUCLIDEAN))
             if (spec.n, nn - k, dual.verdict) != (k, 2, "grs"):
                 problems.append((row.id, "dual is not a 2-dim GRS code"))
-        g1 = build_generator(spec.with_unit_v())
+        g1 = build_generator(replace(spec, v=[0] * spec.n))
         # the Schur route distinguishes only for dimension >= 3: a
         # dimension-2 code has at most 3 = 2k-1 pairwise row products
         if 2 * k - 1 < nn and k >= 3:

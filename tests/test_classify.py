@@ -270,7 +270,7 @@ def test_enum_guard():
 
 def test_classify_example_a1():
     rep = classify(example_a1_spec())
-    assert rep.params == (7, 5, 3)
+    assert (rep.n, rep.k, rep.d) == (7, 5, 3)
     assert rep.label == "MDS" and rep.defect == 0
     assert rep.d_dual == 6 and rep.defect_dual == 0
     assert rep.hull_e.is_lcd
@@ -279,7 +279,7 @@ def test_classify_example_a1():
 
 def test_classify_example_a2_nmds():
     rep = classify(example_a2_spec())
-    assert rep.params == (12, 8, 4)
+    assert (rep.n, rep.k, rep.d) == (12, 8, 4)
     assert rep.label == "NMDS"
     assert rep.hull_e.is_lcd
 

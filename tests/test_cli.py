@@ -267,6 +267,9 @@ BAD_INPUTS = {
         "no theorem claim applies: k must divide q-1"),
     "sweep-cell-zero-samples": (CELL + ["--k", "5", "--l", "2", "--samples",
                                         "0"], None, "audited nothing"),
+    "sweep-cell-h4-blocks-collide": (
+        ["sweep", "--family", "H4", "--q", "3", "--k", "4", "--l", "3",
+         "--delta", "3"], None, "no theorem claim applies: blocks collide"),
     "report-distance-budget": (["report", "--spec", SPEC], WIDE_TAIL_CODE,
                                "error: distance search exceeded budget "
                                "10000000; d >= 95"),

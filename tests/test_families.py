@@ -177,6 +177,19 @@ def test_audit_refuses_without_claim():
         audit(p)
 
 
+@pytest.mark.parametrize("q,k,l,delta", [(3, 4, 3, 3), (5, 6, 4, 5)])
+def test_h4_colliding_blocks_have_no_claim(q, k, l, delta):
+    # k | q+1 with (q^2-1)/k <= delta: the shifts 0 and (q^2-1)/k give the
+    # same block, so there is no code to claim a hull for
+    p = FamilyParams(family="H4", q=q, k=k, l=l,
+                     a=Matrix.identity(family_ctx("H4", q), l), delta=delta)
+    pred = predict(p)
+    assert (pred.claim, pred.clause) == \
+        ("none", "blocks collide: (q^2-1)/k <= delta")
+    with pytest.raises(DistinctnessViolation):
+        make_alpha(p)
+
+
 def test_e2_hull_branches():
     # q = 25, k = 4, p | k+1 = 5: exact hull dims 1 and 2
     ctx = family_ctx("E2", 25)
@@ -225,6 +238,36 @@ def test_sweep_empty_range():
 def test_sweep_budget_marker():
     recs, exhausted = sweep("E1", qs=(25, 49), samples=2, seed=1, budget=5)
     assert exhausted and len(recs) == 5
+
+
+# sha256 of each family's default corpus_cells() as sorted-key JSON
+CORPUS_SHA256 = {
+    "E1": "1ab820c671fe2805147d4e333985021299932561dfc78dabcbcb8310ba61e773",
+    "E2": "1ab820c671fe2805147d4e333985021299932561dfc78dabcbcb8310ba61e773",
+    "E3": "5fdf37567b581ab5b9aaf957f1d97fd9b9d9bb3637d65ecf26d814384e5d836c",
+    "E4": "a6b218fa51f054b770f2634b4c6cab42b8889dc3a99841d9eeab427c98f0bbba",
+    "H1": "fa1931a9e99dc5289b21949268be3a6e235409e179905469119c583b0064d752",
+    "H2": "fa1931a9e99dc5289b21949268be3a6e235409e179905469119c583b0064d752",
+    "H3": "af56e84c3846175fd119c0f1f472552be8485069543d2fb8c969df7a36250da5",
+    "H4": "4425b76d43af0e303638b87836f261986aeb5c8f7c2410e7d709d2a96f056bd0",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_default_corpus_pinned(family):
+    cells = corpus_cells(family)
+    text = json.dumps(cells, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256[family]
+    built = 0
+    for q, k, l, shifts in cells:
+        cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
+        try:
+            alpha = make_alpha(cell)
+        except DistinctnessViolation:
+            continue
+        assert len(alpha) == cell.length, (q, k, l, shifts)
+        built += 1
+    assert built
 
 
 def _records_sha256(recs):

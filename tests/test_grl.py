@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_generator_full_rank_and_monomial_equivalence():
             spec = GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=k)
             g = build_generator(spec)
             assert rank(g) == k
-            g1 = build_generator(spec.with_unit_v())
+            g1 = build_generator(replace(spec, v=[0] * spec.n))
             # diag(v, 1_l) carries the unit-v generator to g
             diag = Matrix.zeros(ctx, spec.length, spec.length)
             for j in range(spec.length):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -111,7 +112,7 @@ def test_lower_triangular_tail_k_equals_l_exceeds_schur_bound():
                                ["g^5", "g^2", "0"],
                                ["g^7", "g^9", "g^3"]])
     spec = unit_spec(ctx, alpha, a, k)
-    dim = schur_square_dim(build_generator(spec.with_unit_v()))
+    dim = schur_square_dim(build_generator(replace(spec, v=[0] * spec.n)))
     assert dim > 2 * k - 1
     cert = nongrs_certificate(spec)
     assert cert.verdict == "non_grs"
