@@ -25,6 +25,7 @@ Oracles:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -99,17 +100,6 @@ def _normalized(ctx, v, piv):
     return [x if x < 0 else (x + s) % ctx.n for x in v]
 
 
-def _insert(basis, piv, vec):
-    nb = list(basis)
-    at = len(nb)
-    for i, (p, _) in enumerate(nb):
-        if p > piv:
-            at = i
-            break
-    nb.insert(at, (piv, vec))
-    return nb
-
-
 def _dfs_exact(ctx, cols, basis, start, remaining, counter):
     """True iff some `remaining` columns from cols[start:] complete a
     dependency on top of basis."""
@@ -120,7 +110,8 @@ def _dfs_exact(ctx, cols, basis, start, remaining, counter):
         if p < 0:
             return True
         if remaining > 1:
-            nb = _insert(basis, p, _normalized(ctx, r, p))
+            nb = list(basis)
+            insort(nb, (p, _normalized(ctx, r, p)))
             if _dfs_exact(ctx, cols, nb, j + 1, remaining - 1, counter):
                 return True
     return False

@@ -85,20 +85,35 @@ def cmd_appendix(args):
     return 0 if ok else 1
 
 
+def _sweep_cell(args):
+    """The one cell that --k and --l name, or None for the family corpus.
+    A cell flag that the sweep would ignore is an input error."""
+    fam, two_block = args.family, args.family in ("E3", "H3")
+    if (args.k is None) != (args.l is None):
+        raise GrlError("--k and --l go together: both for one cell, "
+                       "neither for the family corpus")
+    if args.k is None:
+        if (args.delta, args.s, args.t) != (None, None, None):
+            raise GrlError("--delta, --s and --t need a cell (--k and --l)")
+        return None
+    if (args.s, args.t) != (None, None) and not two_block:
+        raise GrlError(f"--s and --t apply only to E3 and H3, not {fam}")
+    if args.delta is not None and (two_block or fam == "E4"):
+        raise GrlError(f"--delta does not apply to {fam}")
+    if two_block and None in (args.s, args.t):
+        raise GrlError("E3/H3 need --s and --t")
+    delta = args.delta
+    if delta is None and not two_block and fam != "E4":
+        delta = 1
+    return FamilyParams(family=fam, q=args.q, k=args.k, l=args.l,
+                        delta=delta, s=args.s, t=args.t)
+
+
 def cmd_sweep(args):
-    if args.k is not None and args.l is not None:
-        # a single audited cell
+    cell = _sweep_cell(args)
+    if cell is not None:
         rng = random.Random(args.seed)
         records = []
-        shifts = {}
-        if args.family in ("E3", "H3"):
-            if args.s is None or args.t is None:
-                raise GrlError("E3/H3 need --s and --t")
-            shifts = {"s": args.s, "t": args.t}
-        elif args.family != "E4":
-            shifts = {"delta": args.delta if args.delta is not None else 1}
-        cell = FamilyParams(family=args.family, q=args.q, k=args.k,
-                            l=args.l, **shifts)
         gap, _ = precondition_gap(cell)
         if gap:  # before any A is drawn: a wide tail is slow to sample
             raise NoClaim(gap)
@@ -164,8 +179,7 @@ def cmd_eaqecc(args):
                 print(t.csv_row())
         return 0
     payload = {"manifest": _manifest(args, spec.ctx),
-               "eaqecc": {inner: [t.to_json_dict() for t in pair]
-                          for inner, pair in rep.eaqecc.items()}}
+               "eaqecc": rep.to_json_dict()["eaqecc"]}
     _emit(args, payload)
     return 0
 

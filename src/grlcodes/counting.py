@@ -1,11 +1,19 @@
 """Counting solutions of x_1^2 + ... + x_k^2 = c over GF(q).
 
-Closed forms use the quadratic character; the all-nonzero counts are
-evaluated exactly in the quadratic ring Z[w] with w^2 = q or -q before
-an exact division, so no floating point enters the pipeline.  An oracle
-that convolves the square-value histogram over the additive group
-arbitrates the semantics; it uses only field addition and multiplication,
-never the quadratic character or the closed forms.
+Closed forms use the quadratic character eta.  For odd q, -1 is a square
+iff q = 1 (mod 4), so eta(-1) = +1 or -1 is read off q mod 4 with no
+field arithmetic.  The all-nonzero count N*(c) is one formula: with
+w^2 = w2 = eta(-1) q and S_j = (w - 1)^j + (-1 - w)^j, an integer,
+
+    2q N*(0) = 2(q-1)^k + (q-1) S_k,
+    2q N*(c) = 2(q-1)^k - S_k + eta(-c) (S_{k+1} + S_k)   for c != 0.
+
+S_j is evaluated exactly in the quadratic ring Z[w] by repeated squaring
+before an exact division, so no floating point enters the pipeline and a
+k in the thousands costs O(log k) ring products.  An oracle that
+convolves the square-value histogram over the additive group arbitrates
+the semantics; it uses only field addition and multiplication, never the
+quadratic character or the closed forms.
 """
 
 from __future__ import annotations
@@ -25,15 +33,6 @@ def _check_length(k: int) -> None:
         raise GrlError(f"tuple length k = {k} must be >= 1")
 
 
-def _v(ctx: FieldCtx, c: int) -> int:
-    return ctx.q - 1 if c == ZERO else -1
-
-
-def _eta_minus_one_power(ctx: FieldCtx, e: int) -> int:
-    """quadratic character of (-1)^e."""
-    return quadratic_character(ctx, ctx.pow(ctx.neg(ctx.one()), e))
-
-
 def count_nf(ctx: FieldCtx, k: int, c: int) -> int:
     """Total number of k-tuples over GF(q) with sum of squares c.
 
@@ -42,11 +41,11 @@ def count_nf(ctx: FieldCtx, k: int, c: int) -> int:
     """
     _check_length(k)
     q = ctx.q
+    eta_m1 = 1 if q % 4 == 1 else -1    # eta(-1)
     if k % 2 == 0:
-        eta = _eta_minus_one_power(ctx, k // 2)
-        return q ** (k - 1) + _v(ctx, c) * q ** (k // 2 - 1) * eta
-    sign = ctx.pow(ctx.neg(ctx.one()), (k - 1) // 2)
-    eta = quadratic_character(ctx, ctx.mul(sign, c))
+        v = q - 1 if c == ZERO else -1
+        return q ** (k - 1) + v * q ** (k // 2 - 1) * eta_m1 ** (k // 2)
+    eta = eta_m1 ** ((k - 1) // 2) * quadratic_character(ctx, c)
     return q ** (k - 1) + q ** ((k - 1) // 2) * eta
 
 
@@ -87,19 +86,13 @@ def count_nf_star(ctx: FieldCtx, k: int, c: int) -> int:
     _check_length(k)
     q = ctx.q
     w2 = q if q % 4 == 1 else -q
-    base = 2 * (q - 1) ** k
+    s_k = _surd_pair_sum(k, w2)
+    num = 2 * (q - 1) ** k
     if c == ZERO:
-        num = base + (q - 1) * _surd_pair_sum(k, w2)
-    elif quadratic_character(ctx, c) == 1:
-        if q % 4 == 1:
-            num = base + _surd_pair_sum(k + 1, w2)
-        else:
-            num = base + (q + 1) * _surd_pair_sum(k - 1, w2)
+        num += (q - 1) * s_k
     else:
-        if q % 4 == 1:
-            num = base + (1 - q) * _surd_pair_sum(k - 1, w2)
-        else:
-            num = base + _surd_pair_sum(k + 1, w2)
+        eta = quadratic_character(ctx, ctx.neg(c))
+        num += eta * (_surd_pair_sum(k + 1, w2) + s_k) - s_k
     if num % (2 * q):
         raise NonIntegerResult(f"{num} not divisible by 2q = {2 * q}")
     return num // (2 * q)

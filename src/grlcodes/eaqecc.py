@@ -18,10 +18,6 @@ class MissingHull(GrlError):
     pass
 
 
-class MissingDualDistance(GrlError):
-    pass
-
-
 @dataclass
 class EaqeccParams:
     n: int
@@ -38,9 +34,6 @@ class EaqeccParams:
     def csv_row(self):
         return f"{self.n},{self.k_q},{self.d},{self.c},{int(self.mds)}"
 
-    def as_tuple(self):
-        return (self.n, self.k_q, self.d, self.c)
-
 
 def derive(report, inner_product: str) -> tuple[EaqeccParams, EaqeccParams]:
     """The two parameter tuples obtainable from one classical code."""
@@ -52,8 +45,6 @@ def derive(report, inner_product: str) -> tuple[EaqeccParams, EaqeccParams]:
         raise GrlError(f"unknown inner product {inner_product!r}")
     if hull is None:
         raise MissingHull(f"report carries no {inner_product} hull")
-    if report.d_dual is None:
-        raise MissingDualDistance("report carries no dual distance")
     n, k, h = report.n, report.k, hull.hull_dim
     mds = report.label == "MDS"
     primary = EaqeccParams(n=n, k_q=k - h, d=report.d, c=n - k - h,

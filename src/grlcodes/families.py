@@ -34,7 +34,7 @@ from math import gcd
 
 from .gf import (FIELD_SIZE_CAP, ZERO, FieldCtx, FieldTooLarge, GrlError,
                  NotADivisor, field_new, prime_factors, v_p)
-from .grl import DistinctnessViolation, GrlSpec, InvariantViolation
+from .grl import DistinctnessViolation, GrlSpec
 from .hull import EUCLIDEAN, HERMITIAN, hull_report
 from .linalg import Matrix, rank
 
@@ -574,8 +574,7 @@ def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
                 return records, True
             try:
                 records.append(audit(replace(cell, a=a)))
-            except (NoClaim, DistinctnessViolation, NotADivisor,
-                    InvariantViolation):
+            except NoClaim:
                 continue
     return records, False
 

@@ -8,6 +8,7 @@ addition goes through a precomputed Zech logarithm table.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 
 FIELD_SIZE_CAP = 1 << 20
@@ -182,6 +183,7 @@ def _subfield_compatible(f, p, subs):
     return True
 
 
+@lru_cache(maxsize=None)
 def _conway_poly(p, m):
     """Conway polynomial C_{p,m}, little-endian coefficients.
 
@@ -200,9 +202,9 @@ def _conway_poly(p, m):
     """
     q = p ** m
     # GF(p) is settled by the walk; the largest subfield rejects the most
-    subs = [(d, _conway_poly_cached(p, d))
+    subs = [(d, _conway_poly(p, d))
             for d in range(m // 2, 1, -1) if m % d == 0]
-    start, step = (-_conway_poly_cached(p, 1)[0] % p, p) if m > 1 else (0, 1)
+    start, step = (-_conway_poly(p, 1)[0] % p, p) if m > 1 else (0, 1)
     for packed in range(start, q, step):
         coeffs = [0] * m + [1]
         rest = packed
@@ -214,16 +216,6 @@ def _conway_poly(p, m):
                 and _poly_order_is(coeffs, p, q - 1)):
             return coeffs
     raise AssertionError(f"no Conway polynomial found for ({p}, {m})")
-
-
-_CONWAY_CACHE: dict[tuple[int, int], list[int]] = {}
-
-
-def _conway_poly_cached(p, m):
-    key = (p, m)
-    if key not in _CONWAY_CACHE:
-        _CONWAY_CACHE[key] = _conway_poly(p, m)
-    return _CONWAY_CACHE[key]
 
 
 class FieldCtx:
@@ -259,7 +251,7 @@ class FieldCtx:
         self.q = q
         self.n = q - 1          # multiplicative group order
         self.half = (q - 1) // 2  # log of -1
-        self.modulus = _conway_poly_cached(p, m)
+        self.modulus = _conway_poly(p, m)
         self._build_tables()
         self._frob_mult = p ** (m // 2) if m % 2 == 0 else None
 

@@ -78,17 +78,6 @@ class GrlSpec:
         if reasons:
             raise InvariantViolation(reasons)
 
-    def to_json_dict(self) -> dict:
-        fmt = self.ctx.fmt
-        return {
-            "field": self.ctx.field_str(),
-            "k": self.k,
-            "l": self.l,
-            "alpha": [fmt(a) for a in self.alpha],
-            "v": [fmt(x) for x in self.v],
-            "A": self.a.to_strs(),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "GrlSpec":
         if not isinstance(d, dict):
@@ -108,19 +97,19 @@ class GrlSpec:
         return cls(ctx=ctx, alpha=alpha, v=v, a=a, k=d["k"])
 
 
+def grs_generator(ctx: FieldCtx, points, v, k: int) -> Matrix:
+    """k x N generator of GRS_k(points, v): row r is (v_j points_j^r)."""
+    return Matrix(ctx, [[ctx.mul(x, ctx.pow(a, r)) for a, x in zip(points, v)]
+                        for r in range(k)])
+
+
 def build_generator(spec: GrlSpec) -> Matrix:
-    """k x (n+l) generator of rank k: Vandermonde-type block, then the A
-    tail."""
-    ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
-    rows = []
-    for r in range(k):
-        row = [ctx.mul(spec.v[j], ctx.pow(spec.alpha[j], r)) for j in range(n)]
-        if r < k - l:
-            row.extend([ZERO] * l)
-        else:
-            row.extend(spec.a.data[r - (k - l)])
-        rows.append(row)
-    return Matrix(ctx, rows)
+    """k x (n+l) generator of rank k: the GRS_k(alpha, v) block, then the
+    tail, zero in the first k-l rows and A in the last l."""
+    k, l = spec.k, spec.l
+    tail = [[ZERO] * l] * (k - l) + spec.a.data
+    rows = grs_generator(spec.ctx, spec.alpha, spec.v, k).data
+    return Matrix(spec.ctx, [row + t for row, t in zip(rows, tail)])
 
 
 def power_sum(ctx: FieldCtx, beta: int, s: int, t: int) -> int:

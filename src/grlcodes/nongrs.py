@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 
 from .gf import ZERO, FieldCtx, TooLarge
-from .grl import GrlSpec, build_generator
+from .grl import GrlSpec, build_generator, grs_generator
 from .hull import RankDeficient
 from .linalg import Matrix, rank, rref, transpose
 
@@ -64,12 +64,6 @@ def standard_form(g: Matrix):
     rest = [j for j in range(g.cols) if j not in pivots]
     b = Matrix(g.ctx, [[r.data[i][j] for j in rest] for i in range(g.rows)])
     return b, info, rest
-
-
-def grs_generator(ctx: FieldCtx, points, v, k: int) -> Matrix:
-    """k x N generator of GRS_k(points, v): row r is (v_j points_j^r)."""
-    return Matrix(ctx, [[ctx.mul(x, ctx.pow(a, r)) for a, x in zip(points, v)]
-                        for r in range(k)])
 
 
 def _proportional_pair(ctx: FieldCtx, lines):

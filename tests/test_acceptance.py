@@ -496,11 +496,12 @@ def test_criterion_8_eaqecc_templates():
             prim, dual = derive(rep, inner)
             if rec.computed_hull != i:
                 problems.append((fam, pr, "hull mismatch"))
-            if prim.as_tuple() != (nn, pr["k"] - i, rep.d, nn - pr["k"] - i):
-                problems.append((fam, pr, "primary tuple", prim.as_tuple()))
-            if dual.as_tuple() != (nn, nn - pr["k"] - i, rep.d_dual,
-                                   pr["k"] - i):
-                problems.append((fam, pr, "dual tuple", dual.as_tuple()))
+            got = (prim.n, prim.k_q, prim.d, prim.c)
+            if got != (nn, pr["k"] - i, rep.d, nn - pr["k"] - i):
+                problems.append((fam, pr, "primary tuple", got))
+            got = (dual.n, dual.k_q, dual.d, dual.c)
+            if got != (nn, nn - pr["k"] - i, rep.d_dual, pr["k"] - i):
+                problems.append((fam, pr, "dual tuple", got))
             if prim.c < 0 or dual.c < 0:
                 problems.append((fam, pr, "negative entanglement cost"))
             checked += 1

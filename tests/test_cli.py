@@ -270,6 +270,19 @@ BAD_INPUTS = {
     "sweep-cell-h4-blocks-collide": (
         ["sweep", "--family", "H4", "--q", "3", "--k", "4", "--l", "3",
          "--delta", "3"], None, "no theorem claim applies: blocks collide"),
+    "sweep-l-without-k": (["sweep", "--family", "E1", "--q", "81", "--l",
+                           "2", "--samples", "1"], None,
+                          "--k and --l go together"),
+    "sweep-delta-without-cell": (["sweep", "--family", "E1", "--q", "81",
+                                  "--delta", "2", "--samples", "1"], None,
+                                 "need a cell"),
+    "sweep-cell-shifts-for-e1": (CELL + ["--k", "5", "--l", "2", "--s", "3",
+                                         "--t", "1"], None,
+                                 "apply only to E3 and H3, not E1"),
+    "sweep-cell-delta-for-e3": (
+        ["sweep", "--family", "E3", "--q", "31", "--k", "5", "--l", "2",
+         "--s", "1", "--t", "9", "--delta", "4"], None,
+        "--delta does not apply to E3"),
     "report-distance-budget": (["report", "--spec", SPEC], WIDE_TAIL_CODE,
                                "error: distance search exceeded budget "
                                "10000000; d >= 95"),

@@ -72,6 +72,19 @@ def test_surd_sums_are_exact_integers():
             _surd_pair_sum(k, -q)
 
 
+@pytest.mark.parametrize("p,m", FIELDS)
+def test_formulas_match_the_convolution_past_the_enumeration(p, m):
+    """Closed forms == the convolution oracle for k = 5..12, every c: q = 1
+    and q = 3 mod 4, and c zero, a square and a non-square."""
+    ctx = field_new(p, m)
+    for k in range(5, 13):
+        for c in ctx.elements():
+            assert count_nf(ctx, k, c) == brute_quadric_count(ctx, k, c), \
+                (p, m, k, ctx.fmt(c))
+            assert count_nf_star(ctx, k, c) == brute_quadric_count(
+                ctx, k, c, nonzero_only=True), (p, m, k, ctx.fmt(c))
+
+
 def test_enumeration_guard():
     # 10 * 1019^2 field operations, and 3^8384 with over 4,000 digits
     with pytest.raises(TooLarge, match="work guard"):

