@@ -13,14 +13,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 from .appendix import run_appendix
 from .classify import classify
 from .counting import brute_quadric_count, count_nf, count_nf_star
-from .families import (FAMILIES, FamilyParams, NoClaim, audit,
-                       precondition_gap, sample_invertible, sweep)
+from .families import (FAMILIES, FamilyParams, NoClaim, audit_cell,
+                       precondition_gap, sweep)
 from .gf import GrlError, field_from_str
 from .grl import GrlSpec
 from .nongrs import nongrs_certificate
@@ -112,15 +111,12 @@ def _sweep_cell(args):
 def cmd_sweep(args):
     cell = _sweep_cell(args)
     if cell is not None:
-        rng = random.Random(args.seed)
-        records = []
         gap, _ = precondition_gap(cell)
         if gap:  # before any A is drawn: a wide tail is slow to sample
             raise NoClaim(gap)
-        for _ in range(args.samples):
-            a = sample_invertible(cell.ctx, args.l, rng)
-            records.append(audit(replace(cell, a=a)))
-        exhausted = False
+        records = []
+        exhausted = audit_cell(cell, random.Random(args.seed), args.samples,
+                               records, args.budget)
     else:
         records, exhausted = sweep(args.family, qs=(args.q,),
                                    samples=args.samples, seed=args.seed,

@@ -22,7 +22,9 @@ q, k, l and the shifts, with the matrix A once one is drawn.  It derives
 its field (ctx), whether it is Hermitian, its block shifts and its code
 length.  predict() evaluates every hypothesis exactly and returns the
 strongest applicable claim with the evaluated terms attached; audit()
-then builds the code and compares the computed hull.
+then builds the code and compares the computed hull.  audit_cell()
+audits one cell's tail matrices, with one CellPoints that makes the
+cell's points and the A-free part of their Gram once for all of them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from math import gcd
 from .gf import (FIELD_SIZE_CAP, ZERO, FieldCtx, FieldTooLarge, GrlError,
                  NotADivisor, field_new, prime_factors, v_p)
 from .grl import DistinctnessViolation, GrlSpec
-from .hull import EUCLIDEAN, HERMITIAN, hull_report
+from .hull import (EUCLIDEAN, HERMITIAN, HullReport, PointGram, hull_report,
+                   point_gram)
 from .linalg import Matrix, rank
 
 EUCLIDEAN_FAMILIES = ("E1", "E2", "E3", "E4")
@@ -437,13 +440,45 @@ def _predict_hermitian(params, w):
     return _none("k divides neither q-1 nor q+1", **w)
 
 
-def audit(params: FamilyParams) -> AuditRecord:
-    """Build the code, compute the hull, compare against the prediction."""
+def _cell_key(p: FamilyParams):
+    return p.family, p.q, p.k, p.l, p.delta, p.s, p.t
+
+
+class CellPoints:
+    """One cell's evaluation points and the A-free part of their Gram
+    (hull.PointGram), shared by the hulls of the cell's tail matrices.
+    Both are made for the first A whose audit has a claim, since whether
+    a claim exists can depend on A through the corner."""
+
+    def __init__(self, cell: FamilyParams):
+        self.cell = _cell_key(cell)
+        self.gram: PointGram | None = None
+
+    def hull(self, params: FamilyParams) -> HullReport:
+        """The hull of params, this cell with some A; GrlError for
+        another cell."""
+        if _cell_key(params) != self.cell:
+            raise GrlError("audit params are not from this cell")
+        inner = HERMITIAN if params.hermitian else EUCLIDEAN
+        if self.gram is None:
+            spec = build_spec(params)
+            self.gram = point_gram(spec, inner)
+        else:
+            spec = GrlSpec(ctx=self.gram.ctx, alpha=self.gram.alpha,
+                           v=self.gram.v, a=params.a, k=params.k)
+        return hull_report(spec, inner, self.gram)
+
+
+def audit(params: FamilyParams,
+          points: CellPoints | None = None) -> AuditRecord:
+    """Build the code, compute the hull, compare against the prediction.
+    points, made for params' cell, shares the cell's A-free hull work."""
     pred = predict(params)
     if pred.claim == "none":
         raise NoClaim(pred.clause)
-    inner = HERMITIAN if params.hermitian else EUCLIDEAN
-    computed = hull_report(build_spec(params), inner).hull_dim
+    if points is None:
+        points = CellPoints(params)
+    computed = points.hull(params).hull_dim
     if pred.claim == "lcd":
         passed = computed == 0
     elif pred.claim == "hull_eq":
@@ -552,6 +587,31 @@ def _shift_grid(family, q, k, order):
     return [{"delta": d} for d in range(1, min(q, 6) + 1)]
 
 
+def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
+               records: list, budget: int) -> bool:
+    """Audit samples random invertible A on one cell, plus, on a half-width
+    tail, one A aimed at a zero corner; append the record of each A that
+    has a claim.  Returns True when the budget of records stops it first."""
+    ctx, l = cell.ctx, cell.l
+    mats = [sample_invertible(ctx, l, rng) for _ in range(samples)]
+    if 2 * l == cell.k and mats:
+        # aim for the corner-zero equality clauses as well
+        target = _corner_target(cell)
+        if target is not None:
+            extra = sample_first_row_sum(ctx, l, target, rng, cell.hermitian)
+            if extra is not None:
+                mats.append(extra)
+    points = CellPoints(cell)
+    for a in mats:
+        if len(records) >= budget:
+            return True
+        try:
+            records.append(audit(replace(cell, a=a), points))
+        except NoClaim:
+            continue
+    return False
+
+
 def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
           seed: int = 0, budget: int = 10 ** 6):
     """Deterministic seeded sweep; returns (records, exhausted_budget)."""
@@ -559,23 +619,8 @@ def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
     records = []
     for q, k, l, shifts in corpus_cells(family, qs, k_range):
         cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
-        ctx = cell.ctx
-        mats = [sample_invertible(ctx, l, rng) for _ in range(samples)]
-        if 2 * l == k and mats:
-            # aim for the corner-zero equality clauses as well
-            target = _corner_target(cell)
-            if target is not None:
-                extra = sample_first_row_sum(ctx, l, target, rng,
-                                             cell.hermitian)
-                if extra is not None:
-                    mats.append(extra)
-        for a in mats:
-            if len(records) >= budget:
-                return records, True
-            try:
-                records.append(audit(replace(cell, a=a)))
-            except NoClaim:
-                continue
+        if audit_cell(cell, rng, samples, records, budget):
+            return records, True
     return records, False
 
 

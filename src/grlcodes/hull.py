@@ -5,19 +5,31 @@ and the hull dimension under either inner product is k - rank(Gram),
 where Gram is G G^T (Euclidean) or G conj(G)^T (Hermitian) (Massey's LCD
 criterion).  hull_report reads it off that rank alone.
 
-Production: spec_gram builds the Gram from the spec, without G.  Row r
-of G is (v_j alpha_j^r)_j followed by the tail, so with sigma = 1
-(Euclidean) or sigma = q over GF(q^2) (Hermitian), entry (r, c) is the
-weighted power sum
+Production: the Gram comes from the spec, without G.  Row r of G is
+(v_j alpha_j^r)_j followed by the tail, so with sigma = 1 (Euclidean) or
+sigma = q over GF(q^2) (Hermitian), entry (r, c) is the weighted power sum
 
     S(r + sigma c),   S(t) = sum_j v_j^(1 + sigma) alpha_j^t,
 
-a Hankel (Euclidean) or twisted-Hankel (Hermitian) matrix.  Each residue
-of t mod q^m - 1 is summed once: 2k - 1 sums, or at most k(k+1)/2 since
-entry (c, r) is entry (r, c) raised to sigma.  A point alpha_j = 0 adds
-its weight at t = 0 only (0^0 = 1, the constant row of G), not at every
-t divisible by the group order; and A A^T or A conj(A)^T is added to the
-block at rows and columns k-l..k-1, where G has its tail.
+plus the tail's share.  The sums alone are the point part, a Hankel
+(Euclidean) or twisted-Hankel (Hermitian) matrix fixed by alpha, v and k.
+Each residue of t mod q^m - 1 is summed once: 2k - 1 sums, or at most
+k(k+1)/2 since entry (c, r) is entry (r, c) raised to sigma.  A point
+alpha_j = 0 adds its weight at t = 0 only (0^0 = 1, the constant row of
+G), not at every t divisible by the group order.  The tail's share is the
+corner A A^T or A conj(A)^T, added to the block at rows and columns
+k-l..k-1, where G has its tail; spec_gram is the point part plus the
+corner.
+
+The top k - l rows of the Gram never meet the corner, so specs on the
+same points that differ only in A share them.  point_gram keeps them in
+reduced echelon form (one echelon call) next to the l bottom point rows,
+and hull_report adds the corner to those l rows only and takes the rank
+of the stack.  That is exact: rank(Gram) = rank(top) + rank(bottom
+reduced modulo the row space of top), and the reduced top rows span that
+row space.  A families sweep cell audits 5-6 tail matrices on one set of
+points and makes its PointGram once; hull_report refuses a PointGram made
+for other points, k, l or inner product, and makes its own without one.
 
 Oracles: gram multiplies a generator out, and hull_dim_bruteforce
 recomputes the hull as dim(C) + dim(C_perp) - rank of the stacked
@@ -27,11 +39,13 @@ generators, independent of the Gram shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .gf import ZERO, GrlError
+from .gf import ZERO, FieldCtx, GrlError
 from .grl import GrlSpec
-from .linalg import (Matrix, conj_transpose, conjugate, kernel_basis,
-                     mat_mul, rank, stack, transpose)
+from .linalg import (Matrix, conj_transpose, conjugate, echelon,
+                     kernel_basis, mat_mul, rank, rank_rows, stack,
+                     transpose)
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
@@ -64,16 +78,18 @@ def gram(g: Matrix, inner_product: str) -> Matrix:
     raise GrlError(f"unknown inner product {inner_product!r}")
 
 
-def spec_gram(spec: GrlSpec, inner_product: str) -> Matrix:
-    """The spec's Gram from weighted power sums; equals
-    gram(build_generator(spec), inner_product)."""
-    ctx, k, l = spec.ctx, spec.k, spec.l
+def _sigma(ctx: FieldCtx, inner_product: str) -> int:
     if inner_product == EUCLIDEAN:
-        sigma, a_bar = 1, spec.a
-    elif inner_product == HERMITIAN:
-        sigma, a_bar = ctx.base_q, conjugate(spec.a)
-    else:
-        raise GrlError(f"unknown inner product {inner_product!r}")
+        return 1
+    if inner_product == HERMITIAN:
+        return ctx.base_q
+    raise GrlError(f"unknown inner product {inner_product!r}")
+
+
+def _point_rows(spec: GrlSpec, sigma: int) -> list[list[int]]:
+    """The k x k weighted power sums S(r + sigma c): the Gram without its
+    A corner."""
+    ctx, k = spec.ctx, spec.k
     n, zech = ctx.n, ctx.zech
     # (log v_j^(1+sigma), log alpha_j) of the nonzero points; a zero point
     # keeps its weight apart for t = 0
@@ -102,19 +118,80 @@ def spec_gram(spec: GrlSpec, inner_product: str) -> Matrix:
                 sums[e] = x
             if t == 0:
                 x = ctx.add(x, at_zero)
-            if r >= k - l:
-                x = ctx.add(x, ctx.dot(spec.a.data[r - (k - l)],
-                                       a_bar.data[c - (k - l)]))
             rows[r][c] = x
             # entry (c, r) is entry (r, c) raised to sigma
             rows[c][r] = ZERO if x < 0 else x * sigma % n
-    return Matrix(ctx, rows)
+    return rows
 
 
-def hull_report(spec: GrlSpec, inner_product: str) -> HullReport:
+def _with_corner(spec: GrlSpec, sigma: int, bottom) -> list[list[int]]:
+    """Copies of the l bottom point rows with A A^T (sigma = 1) or
+    A conj(A)^T (sigma = q) added at columns k-l..k-1."""
+    ctx, top, l = spec.ctx, spec.k - spec.l, spec.l
+    n, a = ctx.n, spec.a.data
+    a_bar = a if sigma == 1 else conjugate(spec.a).data
+    rows = [row[:] for row in bottom]
+    for i in range(l):
+        for j in range(i, l):
+            x = ctx.add(rows[i][top + j], ctx.dot(a[i], a_bar[j]))
+            rows[i][top + j] = x
+            # as in the point rows, entry (j, i) is entry (i, j) ** sigma
+            rows[j][top + i] = ZERO if x < 0 else x * sigma % n
+    return rows
+
+
+def spec_gram(spec: GrlSpec, inner_product: str) -> Matrix:
+    """The spec's Gram from weighted power sums; equals
+    gram(build_generator(spec), inner_product)."""
+    sigma = _sigma(spec.ctx, inner_product)
+    rows = _point_rows(spec, sigma)
+    top = spec.k - spec.l
+    return Matrix(spec.ctx, rows[:top] + _with_corner(spec, sigma, rows[top:]))
+
+
+class PointGram(NamedTuple):
+    """The part of the Gram that the points fix, shared by every spec with
+    the same field, alpha, v, k and l: sigma, the l bottom point rows
+    without the corner, and the top k - l rows in reduced echelon form
+    with their zero rows dropped."""
+    inner_product: str
+    sigma: int
+    ctx: FieldCtx
+    alpha: list[int]
+    v: list[int]
+    k: int
+    l: int
+    top: list[list[int]]
+    bottom: list[list[int]]
+
+
+def point_gram(spec: GrlSpec, inner_product: str) -> PointGram:
+    """The PointGram of the spec's points; one echelon call."""
+    sigma = _sigma(spec.ctx, inner_product)
+    rows = _point_rows(spec, sigma)
+    split = spec.k - spec.l
+    top = rows[:split]
+    del top[len(echelon(spec.ctx, top)):]
+    return PointGram(inner_product=inner_product, sigma=sigma, ctx=spec.ctx,
+                     alpha=spec.alpha, v=spec.v, k=spec.k, l=spec.l,
+                     top=top, bottom=rows[split:])
+
+
+def hull_report(spec: GrlSpec, inner_product: str,
+                points: PointGram | None = None) -> HullReport:
     """Hull of the spec's code: k - rank(Gram), no rank(G) needed since a
-    valid spec has a generator of rank k."""
-    r = rank(spec_gram(spec, inner_product))
+    valid spec has a generator of rank k.  points, from point_gram of a
+    spec on the same points, spares the A-free work; GrlError if it was
+    made for other points, k, l or inner product."""
+    if points is None:
+        points = point_gram(spec, inner_product)
+    elif (points.inner_product != inner_product or points.ctx is not spec.ctx
+          or (points.k, points.l) != (spec.k, spec.l)
+          or points.alpha != spec.alpha or points.v != spec.v):
+        raise GrlError("the point Gram was made for other points, k, l "
+                       "or inner product")
+    r = rank_rows(spec.ctx, points.top +
+                  _with_corner(spec, points.sigma, points.bottom))
     h = spec.k - r
     return HullReport(inner_product=inner_product, gram_rank=r,
                       hull_dim=h, is_lcd=(h == 0))

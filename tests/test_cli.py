@@ -98,6 +98,14 @@ def test_sweep_cell(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_cell_stops_at_the_budget(capsys):
+    rc = main(["sweep", "--family", "E1", "--q", "81", "--k", "5", "--l", "2",
+               "--delta", "2", "--budget", "1", "--samples", "5"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["all_passed"]
+    assert (out["count"], out["budget_exhausted"]) == (1, True)
+
+
 def test_sweep_family_over_q(capsys):
     rc = main(["sweep", "--family", "H1", "--q", "9", "--samples", "2",
                "--seed", "3", "--budget", "500"])

@@ -1,19 +1,23 @@
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from grlcodes.counting import count_nf
 from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
-                               HERMITIAN_FAMILIES, FamilyParams, NoClaim,
-                               _corner_target, audit, build_spec,
+                               HERMITIAN_FAMILIES, CellPoints, FamilyParams,
+                               NoClaim, _corner_target, audit, build_spec,
                                corpus_cells, delta_conditions, diag_powers,
                                family_ctx, make_alpha, predict,
                                sample_first_row_sum, sample_invertible, sweep)
-from grlcodes.gf import ZERO
+from grlcodes.gf import ZERO, GrlError
 from grlcodes.grl import DistinctnessViolation, build_generator
-from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram
-from grlcodes.linalg import Matrix
+from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram, spec_gram
+from grlcodes.linalg import Matrix, rank
 
 
 def a22(ctx):
@@ -341,3 +345,47 @@ def test_corner_witness_is_the_gram_entry(family):
         assert predict(p0).witnesses["corner"] == "0"
         zeroed += 1
     assert checked and zeroed == checked, (checked, zeroed)
+
+
+def _invertible_2x2(ctx):
+    els = list(ctx.elements())
+    for a, b, c, d in itertools.product(els, repeat=4):
+        m = Matrix(ctx, [[a, b], [c, d]])
+        if rank(m) == 2:
+            yield m
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_e1_hull1_count_over_every_invertible_a(q):
+    # E1, k = 4, l = 2: the hull is 1 exactly when the first row of A
+    # solves a_11^2 + a_12^2 = c = -k X (the Gram corner vanishes; each
+    # audit checks its A against that clause), which N_f(2, c) first rows
+    # and q^2 - q second rows per first row do; every other code is LCD.
+    # The cell's shared Gram part agrees with the full Gram on every A.
+    ctx = family_ctx("E1", q)
+    k, l = 4, 2
+    mats = list(_invertible_2x2(ctx))
+    assert len(mats) == (q * q - 1) * (q * q - q)
+    for delta in range(1, q):
+        cell = FamilyParams(family="E1", q=q, k=k, l=l, delta=delta)
+        c = ctx.neg(ctx.mul(ctx.from_int(k), ctx.element(delta * k)))
+        hull1 = count_nf(ctx, 2, c) * (q * q - q)
+        points = CellPoints(cell)
+        hulls = Counter()
+        for a in mats:
+            params = replace(cell, a=a)
+            rec = audit(params, points)
+            assert rec.passed
+            full = k - rank(spec_gram(build_spec(params), EUCLIDEAN))
+            assert rec.computed_hull == full
+            hulls[full] += 1
+        assert hulls == {1: hull1, 0: len(mats) - hull1}
+
+
+def test_cell_points_refuse_another_cell():
+    ctx = family_ctx("E1", 81)
+    points = CellPoints(FamilyParams(family="E1", q=81, k=5, l=2, delta=2))
+    p = FamilyParams(family="E1", q=81, k=5, l=2, a=a22(ctx), delta=2)
+    assert audit(p, points) == audit(p)
+    with pytest.raises(GrlError, match="not from this cell"):
+        audit(replace(p, delta=3), points)

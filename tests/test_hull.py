@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grlcodes.gf import ZERO, field_new
+from grlcodes.gf import ZERO, GrlError, field_new
 from grlcodes.grl import GrlSpec, build_generator, build_M
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, RankDeficient, dual_generator,
-                           gram, hull_dim_bruteforce, hull_report, spec_gram)
+                           gram, hull_dim_bruteforce, hull_report, point_gram,
+                           spec_gram)
 from grlcodes.linalg import Matrix, conj_transpose, mat_mul, rank, transpose
 
 
@@ -188,6 +190,15 @@ def test_self_orthogonal_single_row():
     assert gram_hull(h2, EUCLIDEAN) == hull_dim_bruteforce(h2, EUCLIDEAN) == 0
 
 
+def invertible(ctx, l):
+    """Strategy for an invertible l x l matrix over ctx."""
+    row = st.lists(st.sampled_from(list(ctx.elements())), min_size=l,
+                   max_size=l)
+    return (st.lists(row, min_size=l, max_size=l)
+            .map(lambda rows: Matrix(ctx, rows))
+            .filter(lambda a: rank(a) == l))
+
+
 @st.composite
 def small_specs(draw):
     """2 <= l <= k <= n <= q <= 49, odd q; alpha often holds 0; v and A
@@ -203,12 +214,7 @@ def small_specs(draw):
         alpha[draw(st.integers(0, n - 1))] = ZERO
     v = draw(st.lists(st.sampled_from(list(ctx.nonzero_elements())),
                       min_size=n, max_size=n))
-    row = st.lists(st.sampled_from(list(ctx.elements())), min_size=l,
-                   max_size=l)
-    a = draw(st.lists(row, min_size=l, max_size=l)
-             .map(lambda rows: Matrix(ctx, rows))
-             .filter(lambda a: rank(a) == l))
-    return GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=k)
+    return GrlSpec(ctx=ctx, alpha=alpha, v=v, a=draw(invertible(ctx, l)), k=k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,3 +254,48 @@ def test_hermitian_spec_gram_evaluation_block_is_build_M(p, m):
                 for c in range(k - l, k):
                     gm[r][c] = ctx.sub(gm[r][c], corner[r - (k - l)][c - (k - l)])
             assert Matrix(ctx, gm) == build_M(ctx, k, t)
+
+
+@st.composite
+def sibling_specs(draw):
+    """Two to five valid specs on the same alpha, v, k and l that differ
+    only in their invertible A."""
+    spec = draw(small_specs())
+    mats = draw(st.lists(invertible(spec.ctx, spec.l), min_size=1,
+                         max_size=4))
+    return [spec] + [replace(spec, a=a) for a in mats]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sibling_specs())
+def test_point_gram_of_a_sibling_gives_the_same_hull(specs):
+    """The A-free Gram part made from one spec serves its siblings: the
+    reduced corner rows give the hull of the full Gram and of the
+    stacked-generator oracle."""
+    ctx = specs[0].ctx
+    inners = [EUCLIDEAN] + ([HERMITIAN] if ctx.m % 2 == 0 else [])
+    for inner in inners:
+        points = point_gram(specs[-1], inner)
+        for spec in specs:
+            rep = hull_report(spec, inner, points)
+            assert rep == hull_report(spec, inner)
+            assert rep.gram_rank == rank(spec_gram(spec, inner))
+            assert rep.hull_dim == \
+                hull_dim_bruteforce(build_generator(spec), inner)
+
+
+def test_point_gram_of_other_points_is_refused():
+    spec = example_a1_spec()
+    ctx = spec.ctx
+    points = point_gram(spec, EUCLIDEAN)
+    shifted = replace(spec, alpha=[ctx.mul(x, ctx.element(1))
+                                   for x in spec.alpha])
+    wider = replace(spec, a=Matrix.identity(ctx, 3))
+    other_v = replace(spec, v=[ctx.element(1)] * spec.n)
+    for other in (shifted, wider, other_v):
+        with pytest.raises(GrlError, match="other points"):
+            hull_report(other, EUCLIDEAN, points)
+    with pytest.raises(GrlError, match="other points"):
+        hull_report(spec, HERMITIAN, points)
+    assert hull_report(spec, EUCLIDEAN, points) == \
+        hull_report(spec, EUCLIDEAN)
