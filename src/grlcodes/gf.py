@@ -4,6 +4,12 @@ Elements are stored in log form: the int -1 (``ZERO``) is the additive
 zero, and e in [0, q-2] stands for gamma^e where gamma is the fixed
 primitive element of the context.  Multiplication is exponent addition;
 addition goes through a precomputed Zech logarithm table.
+
+The tables index elements by packed coefficient ids (id = sum c_i p^i in
+the polynomial basis).  They come from the permutation "times gamma" on
+the ids, built one digit column at a time for all rows at once: one walk
+of the orbit of 1 writes exp and turns the permutation into log in place,
+and the Zech table is one gather from log.
 """
 
 from __future__ import annotations
@@ -218,6 +224,28 @@ def _conway_poly(p, m):
     raise AssertionError(f"no Conway polynomial found for ({p}, {m})")
 
 
+def _times_x(f, p):
+    """The map y -> x*y mod the monic f over GF(p) on packed ids (id =
+    sum c_i p^i): entry y is the id of x*y.
+
+    For y = hi*p^(m-1) + rest, x*y is rest shifted up one digit plus
+    hi*x^m = -hi*sum_{i<m} f_i x^i, so its digit i is
+    (y_{i-1} - hi*f_i) mod p.  The row of each hi is thus a Kronecker sum
+    of one column per digit, and the column of digit i >= 1 is its place
+    values rotated by -hi*f_i; every row gains digit i in one
+    comprehension over all rows.
+    """
+    out = [-hi * f[0] % p for hi in range(p)]
+    for i in range(1, len(f) - 1):
+        place = [d * p ** i for d in range(p)]
+        width = p ** (i - 1)
+        rows = [out[hi * width:(hi + 1) * width] for hi in range(p)]
+        shifts = [-hi * f[i] % p for hi in range(p)]
+        out = [r + t for s, row in zip(shifts, rows)
+               for t in place[s:] + place[:s] for r in row]
+    return out
+
+
 class FieldCtx:
     """Immutable GF(p^m) context with exp/log/Zech tables.
 
@@ -265,29 +293,32 @@ class FieldCtx:
 
     def _build_tables(self):
         p, n = self.p, self.n
-        low = self.modulus[:-1]   # x^m = -sum low[i] x^i
-        top = p ** (self.m - 1)
+        nxt = _times_x(self.modulus, p)
+        # walk the orbit of 1: each slot is read once, then holds its log.
+        # Times gamma is a bijection when the modulus has a nonzero
+        # constant term, so the walk ends on 1 without reaching id 0
+        # exactly when gamma has order n: an early return reads log[1] = 0
+        # and steps onto id 0, so the walk ends there or writes a positive
+        # log into slot 0
         exp = [0] * n
-        log = [ZERO] * self.q
         cur = 1
         for e in range(n):
             exp[e] = cur
-            log[cur] = e
-            # cur * gamma: shift the digits up one place and fold the top
-            # digit back in through the modulus
-            hi, rest = divmod(cur, top)
-            rest *= p
-            cur, place = 0, 1
-            for c in low:
-                rest, d = divmod(rest, p)
-                cur += (d - hi * c) % p * place
-                place *= p
-        if cur != 1:
+            nxt[cur], cur = e, nxt[cur]
+        log = nxt
+        if cur != 1 or log[0] != 0 or not self.modulus[0]:
             raise AssertionError("gamma does not have order q-1")
+        log[0] = ZERO
         self.exp = exp
         self.log = log
-        # 1 + gamma^e adds 1 to the constant digit; log[0] is ZERO
-        self.zech = [log[x - x % p + (x + 1) % p] for x in exp]
+        # zech[e] = log(1 + gamma^e), and 1 + x adds 1 to the constant
+        # digit: rotate each run of p ids left by one, gather, rotate back
+        starts = log[::p]
+        log.append(log.pop(0))
+        log[p - 1::p] = starts
+        self.zech = list(map(log.__getitem__, exp))
+        log.insert(0, log.pop())
+        log[::p] = starts
 
     # -- element construction / formatting --
 

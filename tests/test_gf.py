@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
-from grlcodes.gf import (ZERO, EvenCharacteristic, FieldTooLarge, NotPrime,
-                         NotASquareField, _conway_poly, _ppowmod,
-                         _ptrim, divisor_count,
+from grlcodes.gf import (ZERO, EvenCharacteristic, FieldCtx, FieldTooLarge,
+                         NotPrime, NotASquareField, _conway_poly,
+                         _poly_order_is, _ppowmod, _ptrim, divisor_count,
                          field_new, field_from_str, is_prime,
                          quadratic_character, v_p)
 
@@ -78,12 +79,34 @@ def _packed(f, p):
     return sum(c * p ** i for i, c in enumerate(f))
 
 
-@pytest.mark.parametrize("p,m", SMALL_FIELDS + [(3, 6), (10007, 1)])
+# sha256 of repr((exp, log, zech)) for the report fields of the cold-cli
+# benchmark below 10^6 elements; element ids are part of the interface,
+# so any way of building the tables must give these bytes
+TABLE_SHA256 = {
+    (13, 4): "d334892bc7e15af068fd98f17b8a7cf25ccca307df14c08525a69aa2fcb1f021",
+    (3, 10): "7042641c95bbc7c6e85eeb9cdb326f3f4d0c66892132729fa619f6fc4d3a5370",
+    (7, 6): "8e64527aca9d8cc1df6856a361bcc671b9d6500885393ad7c8e2698d8922a89a",
+    (99991, 1):
+        "bb06626c1e0c718d8ce7af04c041bc36c3f6e076d6af4c97ef375830948e0421",
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(TABLE_SHA256))
+def test_tables_are_pinned(p, m):
+    ctx = FieldCtx(p, m)  # uncached, so its tables do not outlive the test
+    text = repr((ctx.exp, ctx.log, ctx.zech))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[(p, m)]
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS + [(3, 6), (10007, 1)]
+                         + sorted(TABLE_SHA256))
 def test_tables_match_polynomial_powers(p, m):
     # oracle: gamma^e is x^e mod the modulus in coefficient-list arithmetic,
-    # which does not use the digit recurrence that builds the tables
-    ctx = field_new(p, m)
-    for e in range(0, ctx.n, 1 if ctx.q < 1000 else 37):
+    # which does not use the times-gamma orbit that builds the tables; 331
+    # is prime and divides none of the pinned fields' q - 1
+    ctx = FieldCtx(p, m)
+    step = 1 if ctx.q < 1000 else 37 if ctx.q < 20000 else 331
+    for e in range(0, ctx.n, step):
         f = _ppowmod([0, 1], e, ctx.modulus, p)
         assert ctx.exp[e] == _packed(f, p)
         assert ctx.log[ctx.exp[e]] == e
@@ -93,6 +116,22 @@ def test_tables_match_polynomial_powers(p, m):
             assert z >= 0 and _ppowmod([0, 1], z, ctx.modulus, p) == one_plus
         else:
             assert z == ZERO
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (3, [1, 0, 1]),      # x^2 + 1: irreducible, x has order 4
+    (7, [2, 0, 0, 1]),   # x^3 + 2: irreducible, x has order 18
+    (7, [6, 1]),         # x + 6: x = 1 has order 1
+    (3, [0, 0, 1]),      # x^2: x is no unit, and the walk ends on id 1
+])
+def test_tables_refuse_a_gamma_of_lower_order(p, modulus):
+    m = len(modulus) - 1
+    assert not _poly_order_is(modulus, p, p ** m - 1)
+    ctx = FieldCtx.__new__(FieldCtx)
+    ctx.p, ctx.m, ctx.q, ctx.n = p, m, p ** m, p ** m - 1
+    ctx.modulus = modulus
+    with pytest.raises(AssertionError, match="order q-1"):
+        ctx._build_tables()
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
@@ -221,8 +260,10 @@ CONWAY = {
     (1019, 2): [2, 1015, 1],
     (99991, 1): [99985, 1],
 }
-# above this q only the search is checked: the tables of GF(7^6), GF(3^12)
-# and GF(1019^2) take seconds and tens of MB, and would stay cached
+# above this q only the search is checked here: field_new keeps every
+# context for the rest of the session, and the tables of GF(7^6), GF(3^12)
+# and GF(1019^2) hold tens of MB.  GF(7^6) is built uncached and pinned
+# above; CI pins the tables of the other two.
 TABLE_CHECK_MAX_Q = 10 ** 5
 
 
