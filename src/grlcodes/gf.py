@@ -9,11 +9,15 @@ The tables index elements by packed coefficient ids (id = sum c_i p^i in
 the polynomial basis).  They come from the permutation "times gamma" on
 the ids, built one digit column at a time for all rows at once: one walk
 of the orbit of 1 writes exp and turns the permutation into log in place,
-and the Zech table is one gather from log.
+and the Zech table is one gather from log.  exp and log are 32-bit
+``array('i')`` tables (every id and log is below ``FIELD_SIZE_CAP``);
+zech, which every addition reads, stays a list, since CPython specialises
+list subscripts and not array subscripts.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import prod
 
@@ -255,6 +259,10 @@ class FieldCtx:
     tables written as powers of gamma are portable; a context is fully
     determined by (p, m).  For m = 1 this makes gamma the smallest
     primitive root mod p.
+
+    ``exp`` (log -> id) and ``log`` (id -> log) are ``array('i')``, 4 bytes
+    an entry; ``zech`` (e -> log(1 + gamma^e)) is a list, for the addition
+    loops' faster subscripts.
     """
 
     __slots__ = ("p", "m", "q", "n", "half", "modulus",
@@ -293,14 +301,17 @@ class FieldCtx:
 
     def _build_tables(self):
         p, n = self.p, self.n
-        nxt = _times_x(self.modulus, p)
+        # exp and the permutation that becomes log are int32 arrays: the
+        # walk's random reads and writes touch 4-byte slots, not scattered
+        # int objects, and no int object is kept, then freed, per entry
+        nxt = array("i", _times_x(self.modulus, p))
         # walk the orbit of 1: each slot is read once, then holds its log.
         # Times gamma is a bijection when the modulus has a nonzero
         # constant term, so the walk ends on 1 without reaching id 0
         # exactly when gamma has order n: an early return reads log[1] = 0
         # and steps onto id 0, so the walk ends there or writes a positive
         # log into slot 0
-        exp = [0] * n
+        exp = array("i", [0]) * n
         cur = 1
         for e in range(n):
             exp[e] = cur
@@ -312,7 +323,8 @@ class FieldCtx:
         self.exp = exp
         self.log = log
         # zech[e] = log(1 + gamma^e), and 1 + x adds 1 to the constant
-        # digit: rotate each run of p ids left by one, gather, rotate back
+        # digit: rotate each run of p ids left by one, gather into a list,
+        # rotate back
         starts = log[::p]
         log.append(log.pop(0))
         log[p - 1::p] = starts

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from grlcodes.counting import count_nf
+from grlcodes.counting import count_nf, count_nf_star
 from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                HERMITIAN_FAMILIES, CellPoints, FamilyParams,
                                NoClaim, _corner_target, audit, build_spec,
@@ -279,6 +279,15 @@ def _records_sha256(recs):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_all_family_sweep_digest():
+    # the all-family digest quoted in ROADMAP: the records of
+    # sweep(f, samples=3, seed=5) for every family, as one list
+    recs = [r for f in FAMILIES for r in sweep(f, samples=3, seed=5)[0]]
+    assert len(recs) == 3956
+    assert _records_sha256(recs) == (
+        "807dd0a6d181feca0e4bf520db000680764613b11170380407291dbf5a422f04")
+
+
 # sha256 of each family sweep's sorted-key JSON records
 SWEEP_SHA256 = {
     "E1": "c90972da52eab64d755bf9c47ea0d49ffbd2f15617d25fe6a110a6f93ebe1f1f",
@@ -361,7 +370,9 @@ def test_e1_hull1_count_over_every_invertible_a(q):
     # solves a_11^2 + a_12^2 = c = -k X (the Gram corner vanishes; each
     # audit checks its A against that clause), which N_f(2, c) first rows
     # and q^2 - q second rows per first row do; every other code is LCD.
-    # The cell's shared Gram part agrees with the full Gram on every A.
+    # Of those, the ones whose first row is all nonzero number
+    # N*(2, c) * (q^2 - q).  The cell's shared Gram part agrees with the
+    # full Gram on every A.
     ctx = family_ctx("E1", q)
     k, l = 4, 2
     mats = list(_invertible_2x2(ctx))
@@ -372,6 +383,7 @@ def test_e1_hull1_count_over_every_invertible_a(q):
         hull1 = count_nf(ctx, 2, c) * (q * q - q)
         points = CellPoints(cell)
         hulls = Counter()
+        nonzero_rows = 0
         for a in mats:
             params = replace(cell, a=a)
             rec = audit(params, points)
@@ -379,7 +391,10 @@ def test_e1_hull1_count_over_every_invertible_a(q):
             full = k - rank(spec_gram(build_spec(params), EUCLIDEAN))
             assert rec.computed_hull == full
             hulls[full] += 1
+            if full == 1 and ZERO not in a.data[0]:
+                nonzero_rows += 1
         assert hulls == {1: hull1, 0: len(mats) - hull1}
+        assert nonzero_rows == count_nf_star(ctx, 2, c) * (q * q - q)
 
 
 def test_cell_points_refuse_another_cell():

@@ -1,12 +1,13 @@
 import hashlib
 import random
+from array import array
 
 import pytest
 
-from grlcodes.gf import (ZERO, EvenCharacteristic, FieldCtx, FieldTooLarge,
-                         NotPrime, NotASquareField, _conway_poly,
-                         _poly_order_is, _ppowmod, _ptrim, divisor_count,
-                         field_new, field_from_str, is_prime,
+from grlcodes.gf import (FIELD_SIZE_CAP, ZERO, EvenCharacteristic, FieldCtx,
+                         FieldTooLarge, NotPrime, NotASquareField,
+                         _conway_poly, _poly_order_is, _ppowmod, _ptrim,
+                         divisor_count, field_new, field_from_str, is_prime,
                          quadratic_character, v_p)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
@@ -79,9 +80,10 @@ def _packed(f, p):
     return sum(c * p ** i for i, c in enumerate(f))
 
 
-# sha256 of repr((exp, log, zech)) for the report fields of the cold-cli
-# benchmark below 10^6 elements; element ids are part of the interface,
-# so any way of building the tables must give these bytes
+# sha256 of the repr of (exp, log, zech) as lists for the report fields of
+# the cold-cli benchmark below 10^6 elements; element ids are part of the
+# interface, so any way of building or storing the tables must give these
+# bytes
 TABLE_SHA256 = {
     (13, 4): "d334892bc7e15af068fd98f17b8a7cf25ccca307df14c08525a69aa2fcb1f021",
     (3, 10): "7042641c95bbc7c6e85eeb9cdb326f3f4d0c66892132729fa619f6fc4d3a5370",
@@ -94,8 +96,18 @@ TABLE_SHA256 = {
 @pytest.mark.parametrize("p,m", sorted(TABLE_SHA256))
 def test_tables_are_pinned(p, m):
     ctx = FieldCtx(p, m)  # uncached, so its tables do not outlive the test
-    text = repr((ctx.exp, ctx.log, ctx.zech))
+    text = repr((list(ctx.exp), list(ctx.log), list(ctx.zech)))
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[(p, m)]
+
+
+def test_table_storage():
+    # exp and log are 32-bit arrays, which keep a large field light; every
+    # addition reads zech, and CPython specialises list subscripts, so it
+    # stays a list.  Every id and log is below the cap, so none overflows.
+    ctx = FieldCtx(7, 6)
+    assert ctx.exp.typecode == ctx.log.typecode == "i"
+    assert type(ctx.zech) is list
+    assert 2 ** (8 * array("i").itemsize - 1) > FIELD_SIZE_CAP
 
 
 @pytest.mark.parametrize("p,m", SMALL_FIELDS + [(3, 6), (10007, 1)]
