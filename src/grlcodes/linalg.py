@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Matrices are immutable-by-convention: operations return new objects.
-Entries are log-form ints as in :mod:`grlcodes.gf`.
+Matrices are immutable by convention: operations return new objects.
+Entries are log-form ints as in :mod:`grlcodes.gf`.  The convention is
+load-bearing: ``rank`` stores its answer on the matrix, so a matrix must
+not be written to once anything has asked for its rank.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ class FieldMismatch(GrlError):
 
 
 class Matrix:
-    __slots__ = ("ctx", "rows", "cols", "data")
+    """A rows x cols matrix over ``ctx``, stored as a list of row lists.
+
+    ``_rank`` holds the rank once ``rank`` has computed it, so a matrix is
+    proved invertible once however many checks ask.  The only in-place
+    writers (``zeros`` inside ``identity``, ``families.diag_powers`` and a
+    few test builders) write before anything asks for the rank, so the
+    stored value never goes stale.
+    """
+
+    __slots__ = ("ctx", "rows", "cols", "data", "_rank")
 
     def __init__(self, ctx: FieldCtx, data):
         data = [list(row) for row in data]
@@ -30,6 +41,7 @@ class Matrix:
         self.rows = len(data)
         self.cols = cols
         self.data = data
+        self._rank = None
 
     @classmethod
     def zeros(cls, ctx, rows, cols):
@@ -162,7 +174,10 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """Rank of m, computed on the first call and stored on m."""
+    if m._rank is None:
+        m._rank = len(rref(m)[1])
+    return m._rank
 
 
 def rank_rows(ctx: FieldCtx, rows) -> int:

@@ -18,22 +18,25 @@ The evidence for the last three items is in docs/decisions.md.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from math import gcd
+
+import pytest
 
 from grlcodes.appendix import load_rows
 from grlcodes.classify import classify, min_distance
 from grlcodes.counting import (brute_quadric_count, count_nf, count_nf_star,
                                hull1_count_bound)
 from grlcodes.eaqecc import derive
-from grlcodes.families import (FAMILIES, EUCLIDEAN_FAMILIES, FamilyParams,
-                               build_spec, diag_powers, family_ctx,
-                               sample_invertible, sweep)
+from grlcodes.families import (FAMILIES, EUCLIDEAN_FAMILIES, CellPoints,
+                               FamilyParams, audit, build_spec, diag_powers,
+                               family_ctx, sample_invertible, sweep)
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, dual_generator,
-                           hull_dim_bruteforce, hull_report)
+                           hull_dim_bruteforce, hull_report, spec_gram)
 from grlcodes.linalg import Matrix, rank
 from grlcodes.nongrs import (certify, exhaustive_grs_check,
                              nongrs_certificate, schur_square_dim)
@@ -508,6 +511,72 @@ def test_criterion_8_eaqecc_templates():
     report_line("criterion 8 (EAQECC templates on audited codes)",
                 not problems, f"{checked} codes across 8 families")
     assert checked >= 60
+    assert not problems, problems[:3]
+
+
+# -- criterion 9: E1 one-dimensional hulls over every invertible A --
+
+def _invertible_2x2(ctx):
+    els = list(ctx.elements())
+    for a, b, c, d in product(els, repeat=4):
+        m = Matrix(ctx, [[a, b], [c, d]])
+        if rank(m) == 2:
+            yield m
+
+
+def criterion_9(q):
+    """Audit E1 with k = 4, l = 2 on every invertible A, for every delta;
+    print the criterion line and return the problems found.
+
+    The hull is 1 exactly when the first row of A solves
+    a_11^2 + a_12^2 = c = -k X (the Gram corner vanishes; each audit checks
+    its A against that clause), which N_f(2, c) first rows and q^2 - q
+    second rows per first row do; every other code is LCD.  Of those, the
+    ones whose first row is all nonzero number N*(2, c) * (q^2 - q).  The
+    cell's shared Gram part agrees with the full Gram on every A.  Tier-1
+    runs q = 5 and q = 9; CI runs q = 13 as a step of its own.
+    """
+    ctx = family_ctx("E1", q)
+    k, l = 4, 2
+    mats = list(_invertible_2x2(ctx))
+    problems = []
+    if len(mats) != (q * q - 1) * (q * q - q):
+        problems.append(("invertible A", len(mats)))
+    hull1_counts, nonzero_counts = set(), set()
+    for delta in range(1, q):
+        cell = FamilyParams(family="E1", q=q, k=k, l=l, delta=delta)
+        c = ctx.neg(ctx.mul(ctx.from_int(k), ctx.element(delta * k)))
+        hull1 = count_nf(ctx, 2, c) * (q * q - q)
+        points = CellPoints(cell)
+        hulls = Counter()
+        nonzero_rows = 0
+        for a in mats:
+            params = replace(cell, a=a)
+            rec = audit(params, points)
+            full = k - rank(spec_gram(build_spec(params), EUCLIDEAN))
+            if not rec.passed or rec.computed_hull != full:
+                problems.append((delta, a.to_strs(), rec.computed_hull, full))
+            hulls[full] += 1
+            if full == 1 and ZERO not in a.data[0]:
+                nonzero_rows += 1
+        if hulls != {1: hull1, 0: len(mats) - hull1}:
+            problems.append((delta, "hulls", dict(hulls), hull1))
+        if nonzero_rows != count_nf_star(ctx, 2, c) * (q * q - q):
+            problems.append((delta, "all-nonzero first rows", nonzero_rows))
+        hull1_counts.add(hulls[1])
+        nonzero_counts.add(nonzero_rows)
+    report_line(f"criterion 9 (E1 k=4 l=2 hull-1 count over every "
+                f"invertible A, q={q})", not problems,
+                f"{q - 1} deltas x {len(mats)} codes, hull 1 on "
+                f"{'/'.join(map(str, sorted(hull1_counts)))} per delta, of "
+                f"them {'/'.join(map(str, sorted(nonzero_counts)))} with an "
+                f"all-nonzero first row, the rest LCD")
+    return problems
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_criterion_9_e1_hull1_count_over_every_invertible_a(q):
+    problems = criterion_9(q)
     assert not problems, problems[:3]
 
 

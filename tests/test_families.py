@@ -1,13 +1,11 @@
 import hashlib
-import itertools
 import json
 import random
-from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from grlcodes.counting import count_nf, count_nf_star
+from grlcodes import linalg
 from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                HERMITIAN_FAMILIES, CellPoints, FamilyParams,
                                NoClaim, _corner_target, audit, build_spec,
@@ -15,8 +13,9 @@ from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                family_ctx, make_alpha, predict,
                                sample_first_row_sum, sample_invertible, sweep)
 from grlcodes.gf import ZERO, GrlError
-from grlcodes.grl import DistinctnessViolation, build_generator
-from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram, spec_gram
+from grlcodes.grl import (DistinctnessViolation, InvariantViolation,
+                         build_generator)
+from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram
 from grlcodes.linalg import Matrix, rank
 
 
@@ -356,47 +355,6 @@ def test_corner_witness_is_the_gram_entry(family):
     assert checked and zeroed == checked, (checked, zeroed)
 
 
-def _invertible_2x2(ctx):
-    els = list(ctx.elements())
-    for a, b, c, d in itertools.product(els, repeat=4):
-        m = Matrix(ctx, [[a, b], [c, d]])
-        if rank(m) == 2:
-            yield m
-
-
-@pytest.mark.parametrize("q", [5, 9])
-def test_e1_hull1_count_over_every_invertible_a(q):
-    # E1, k = 4, l = 2: the hull is 1 exactly when the first row of A
-    # solves a_11^2 + a_12^2 = c = -k X (the Gram corner vanishes; each
-    # audit checks its A against that clause), which N_f(2, c) first rows
-    # and q^2 - q second rows per first row do; every other code is LCD.
-    # Of those, the ones whose first row is all nonzero number
-    # N*(2, c) * (q^2 - q).  The cell's shared Gram part agrees with the
-    # full Gram on every A.
-    ctx = family_ctx("E1", q)
-    k, l = 4, 2
-    mats = list(_invertible_2x2(ctx))
-    assert len(mats) == (q * q - 1) * (q * q - q)
-    for delta in range(1, q):
-        cell = FamilyParams(family="E1", q=q, k=k, l=l, delta=delta)
-        c = ctx.neg(ctx.mul(ctx.from_int(k), ctx.element(delta * k)))
-        hull1 = count_nf(ctx, 2, c) * (q * q - q)
-        points = CellPoints(cell)
-        hulls = Counter()
-        nonzero_rows = 0
-        for a in mats:
-            params = replace(cell, a=a)
-            rec = audit(params, points)
-            assert rec.passed
-            full = k - rank(spec_gram(build_spec(params), EUCLIDEAN))
-            assert rec.computed_hull == full
-            hulls[full] += 1
-            if full == 1 and ZERO not in a.data[0]:
-                nonzero_rows += 1
-        assert hulls == {1: hull1, 0: len(mats) - hull1}
-        assert nonzero_rows == count_nf_star(ctx, 2, c) * (q * q - q)
-
-
 def test_cell_points_refuse_another_cell():
     ctx = family_ctx("E1", 81)
     points = CellPoints(FamilyParams(family="E1", q=81, k=5, l=2, delta=2))
@@ -404,3 +362,25 @@ def test_cell_points_refuse_another_cell():
     assert audit(p, points) == audit(p)
     with pytest.raises(GrlError, match="not from this cell"):
         audit(replace(p, delta=3), points)
+
+
+def test_sampled_a_is_proved_invertible_once(monkeypatch):
+    # the samplers prove rank(A) = l, and the spec an audit builds on that
+    # A reads the proof A carries instead of eliminating again
+    cell = FamilyParams(family="E1", q=81, k=4, l=2, delta=2)
+    ctx, rng = cell.ctx, random.Random(3)
+    mats = [sample_invertible(ctx, 2, rng),
+            sample_first_row_sum(ctx, 2, _corner_target(cell), rng, False)]
+
+    def eliminate(*args):
+        raise AssertionError("rank(A) proved a second time")
+
+    monkeypatch.setattr(linalg, "echelon", eliminate)
+    for a in mats:
+        assert rank(a) == 2
+        assert build_spec(replace(cell, a=a)).a is a
+    monkeypatch.undo()
+    # a matrix carries no proof until its own rank is computed
+    singular = Matrix(ctx, [[0, 0], [0, 0]])
+    with pytest.raises(InvariantViolation, match="A must be invertible"):
+        build_spec(replace(cell, a=singular))
