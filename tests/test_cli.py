@@ -1,11 +1,18 @@
+import argparse
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from grlcodes.cli import main
+import grlcodes
+from grlcodes import families
+from grlcodes.cli import build_parser, main
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.nongrs import NonGrsCertificate
 
@@ -202,6 +209,14 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_family_choices_are_the_families():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in sub.choices["sweep"]._actions
+                  if a.dest == "family")
+    assert tuple(family.choices) == families.FAMILIES
+
+
 SPEC, DIR = "<spec>", "<dir>"   # replaced by a spec file / a directory
 SINGULAR_A = {**A1_SPEC, "A": [["1", "1"], ["1", "1"]]}
 REPEATED_ALPHA = {**A1_SPEC, "alpha": ["g^18", "g^18", "g^50", "g^66", "g^2"]}
@@ -382,3 +397,45 @@ def test_stdout_is_byte_identical(argv, sha256, a1_spec_file, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# the library modules that only some commands run (importing grlcodes loads
+# gf, grl and linalg)
+COMMAND_MODULES = {"appendix", "classify", "counting", "eaqecc", "families",
+                   "hull", "nongrs"}
+# run main(argv) in a fresh interpreter, then print its exit code and the
+# grlcodes modules it loaded
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from grlcodes.cli import main
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps([rc, sorted(m.split(".", 1)[1] for m in sys.modules
+                             if m.startswith("grlcodes."))]))
+"""
+# (argv, exit code, command modules it may load)
+FOOTPRINTS = {
+    "report": (["report", "--spec", SPEC], 0,
+               {"classify", "eaqecc", "hull", "nongrs"}),
+    "nongrs": (["nongrs", "--spec", SPEC], 0, {"hull", "nongrs"}),
+    "count": (COUNT, 0, {"counting"}),
+    "usage-error": (["sweep", "--family", "Z9", "--q", "5"], 2, set()),
+}
+
+
+@pytest.mark.parametrize("argv,code,loads", FOOTPRINTS.values(),
+                         ids=FOOTPRINTS.keys())
+def test_command_imports_only_its_own_modules(argv, code, loads,
+                                              a1_spec_file):
+    argv = [a1_spec_file if a == SPEC else a for a in argv]
+    src = str(Path(grlcodes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT,
+                           json.dumps(argv)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == code, proc.stderr
+    assert set(loaded) & COMMAND_MODULES == loads
