@@ -22,9 +22,12 @@ q, k, l and the shifts, with the matrix A once one is drawn.  It derives
 its field (ctx), whether it is Hermitian, its block shifts and its code
 length.  predict() evaluates every hypothesis exactly and returns the
 strongest applicable claim with the evaluated terms attached; audit()
-then builds the code and compares the computed hull.  audit_cell()
-audits one cell's tail matrices, with one CellPoints that makes the
-cell's points and the A-free part of their Gram once for all of them.
+then builds the code and compares the computed hull.  The hypotheses
+read A only through whether the Gram corner k*X + sum a_1i^e vanishes,
+so a cell has two predictions, one per corner class.  audit_cell()
+audits one cell's tail matrices with one CellPoints, which makes both,
+the cell's points and the A-free part of their Gram once for all of
+them; a cell with no claim in either class draws no A.
 """
 
 from __future__ import annotations
@@ -224,18 +227,13 @@ def _block_corner(params):
     return x
 
 
-def _corner(params, w):
-    """The Gram corner k*X + sum a_1i^e, recorded in the witnesses (with X
-    as theta for the E-families)."""
-    ctx = params.ctx
-    x = _block_corner(params)
-    corner = ctx.add(ctx.mul(ctx.from_int(params.k), x),
-                     _row_norm_sum(ctx, params.a.data[0],
-                                   1 + params.q if params.hermitian else 2))
+def _corner_slot(params, w):
+    """Where a ladder reads the Gram corner k*X + sum a_1i^e: it keeps a
+    witness slot for the corner (and for X as theta, E-families only),
+    which predict fills with the corner of its A."""
     if not params.hermitian:
-        w["theta"] = ctx.fmt(x)
-    w["corner"] = ctx.fmt(corner)
-    return corner
+        w["theta"] = None
+    w["corner"] = None
 
 
 def delta_conditions(q: int, k: int, delta: int) -> list[int]:
@@ -276,31 +274,32 @@ def _none(clause, **w):
     return Prediction(claim="none", value=None, clause=clause, witnesses=w)
 
 
-# -- clause ladders; w carries the narrow/half tail flags --
+# -- clause ladders; w carries the narrow/half tail flags, and zero is the
+# corner class: whether the Gram corner vanishes --
 
 
-def _lcd_clause(prefix, corner, w):
+def _lcd_clause(prefix, zero, w):
     """LCD if the tail is narrow, or half-width with a nonzero corner."""
     if w["narrow"]:
         return Prediction("lcd", 0, f"{prefix} narrow tail", w)
-    if w["half"] and corner != ZERO:
+    if w["half"] and not zero:
         return Prediction("lcd", 0, f"{prefix} corner nonzero", w)
     return None
 
 
-def _lcd_or_hull1(prefix, corner, w, wide="tail wider than k/2"):
+def _lcd_or_hull1(prefix, zero, w, wide="tail wider than k/2"):
     """The LCD clause, otherwise hull 1 on the half-width tail (whose
     corner then vanishes)."""
     if not (w["narrow"] or w["half"]):
         return _none(wide, **w)
-    return _lcd_clause(prefix, corner, w) or \
+    return _lcd_clause(prefix, zero, w) or \
         Prediction("hull_eq", 1, f"{prefix} corner zero", w)
 
 
-def _hull1_or_hull2(prefix, corner, w):
+def _hull1_or_hull2(prefix, zero, w):
     """Hull 1, or hull 2 when the half-width corner vanishes; the ladder
     when p divides the block count."""
-    if w["narrow"] or (w["half"] and corner != ZERO):
+    if w["narrow"] or (w["half"] and not zero):
         return Prediction("hull_eq", 1, prefix, w)
     if w["half"]:
         return Prediction("hull_eq", 2, f"{prefix}, corner zero", w)
@@ -325,29 +324,37 @@ def precondition_gap(params: FamilyParams):
 
 def predict(params: FamilyParams) -> Prediction:
     """Strongest theorem claim whose hypotheses all hold, with every
-    evaluated term attached as a witness; 'none' is a valid outcome."""
-    gap, w = precondition_gap(params)
+    evaluated term attached as a witness; 'none' is a valid outcome.
+    It reads A only through the Gram corner (CellPoints.predict)."""
+    return CellPoints(params).predict(params)
+
+
+def _predict_class(cell, zero):
+    """The prediction for every A of cell whose Gram corner is zero (or
+    nonzero), with empty corner slots: the ladders read A only through
+    whether its corner vanishes."""
+    gap, w = precondition_gap(cell)
     if gap:
         return _none(gap, **w)
-    if params.hermitian:
-        return _predict_hermitian(params, w)
-    return _predict_euclidean(params, w)
+    if cell.hermitian:
+        return _predict_hermitian(cell, w, zero)
+    return _predict_euclidean(cell, w, zero)
 
 
-def _predict_euclidean(params, w):
+def _predict_euclidean(params, w, zero):
     ctx, q, k = params.ctx, params.q, params.k
     fam = params.family
-    corner = _corner(params, w)
+    _corner_slot(params, w)
 
     if fam == "E1":
-        return _lcd_or_hull1("single-block", corner, w)
+        return _lcd_or_hull1("single-block", zero, w)
 
     if fam == "E2":
         p_div = (k + 1) % ctx.p == 0
         w["p_divides_k_plus_1"] = p_div
         if p_div:
-            return _hull1_or_hull2("zero-point block, p | k+1", corner, w)
-        return _lcd_clause("zero-point block", corner, w) or \
+            return _hull1_or_hull2("zero-point block, p | k+1", zero, w)
+        return _lcd_clause("zero-point block", zero, w) or \
             _none("no clause for this tail/corner", **w)
 
     if fam == "E3":
@@ -360,24 +367,25 @@ def _predict_euclidean(params, w):
             conds = delta_conditions(q, k, delta)
             w["delta_conditions"] = conds
         if conds:
-            return _lcd_or_hull1("two-block", corner, w, "no clause fired")
-        return (v2_ok and _lcd_clause("two-block", corner, w)) or \
+            return _lcd_or_hull1("two-block", zero, w, "no clause fired")
+        return (v2_ok and _lcd_clause("two-block", zero, w)) or \
             _none("no clause fired", **w)
 
     # E4
     if ctx.p == 3:
-        return _hull1_or_hull2("three-block, p = 3", corner, w)
-    return _lcd_or_hull1("three-block", corner, w)
+        return _hull1_or_hull2("three-block, p = 3", zero, w)
+    return _lcd_or_hull1("three-block", zero, w)
 
 
-def _predict_hermitian(params, w):
+def _predict_hermitian(params, w, zero):
     ctx, q, k, l = params.ctx, params.q, params.k, params.l
     fam, order = params.family, ctx.n
     kq1, kq2 = w["k_div_q_minus_1"], w["k_div_q_plus_1"]
 
     if fam == "H1":
         if kq1:
-            return _lcd_or_hull1("single-block", _corner(params, w), w)
+            _corner_slot(params, w)
+            return _lcd_or_hull1("single-block", zero, w)
         if kq2:
             return Prediction("hull_le", l, "single-block diagonal regime", w)
         return _none("k divides neither q-1 nor q+1", **w)
@@ -386,10 +394,10 @@ def _predict_hermitian(params, w):
         p_div = (k + 1) % ctx.p == 0
         w["p_divides_k_plus_1"] = p_div
         if kq1:
-            corner = _corner(params, w)
+            _corner_slot(params, w)
             if p_div:
-                return _hull1_or_hull2("zero-point, p | k+1", corner, w)
-            return _lcd_clause("zero-point", corner, w) or \
+                return _hull1_or_hull2("zero-point, p | k+1", zero, w)
+            return _lcd_clause("zero-point", zero, w) or \
                 _none("no clause for this tail/corner", **w)
         if kq2 and not p_div:
             return Prediction("hull_le", l, "zero-point diagonal regime", w)
@@ -402,9 +410,11 @@ def _predict_hermitian(params, w):
                     for i in range(1, k)}
             w["T"] = sorted(tset)
             w["v2_of_shift_difference"] = v2d
-            pred = v2d not in tset and \
-                _lcd_clause("two-block", _corner(params, w), w)
-            return pred or _none("no clause fired", **w)
+            if v2d in tset:
+                return _none("no clause fired", **w)
+            _corner_slot(params, w)
+            return _lcd_clause("two-block", zero, w) or \
+                _none("no clause fired", **w)
         if kq2:
             nset = {v_p(q - 1, 2) - v_p(i, 2) - 1 for i in range(1, k - l)}
             w["N_l"] = sorted(nset)
@@ -422,14 +432,14 @@ def _predict_hermitian(params, w):
         svals = [i for i in range(1, k)
                  if (delta + 1) % (order // gcd(order, i + (k - i) * q)) == 0]
         w["S_1"] = svals
-        corner = _corner(params, w)
+        _corner_slot(params, w)
         if svals:
             # the exact-dimension statement fails for special A (and for
             # vanishing positions between l and k-l), so no claim.
             return _none("vanishing anti-diagonal positions present", **w)
         if p_div:
-            return _hull1_or_hull2("multi-block, p | delta+1", corner, w)
-        return _lcd_or_hull1("multi-block", corner, w)
+            return _hull1_or_hull2("multi-block, p | delta+1", zero, w)
+        return _lcd_or_hull1("multi-block", zero, w)
     if kq2:
         uvals = [i for i in range(1, k - l)
                  if (delta + 1) % (order // gcd(order, i * (q + 1))) == 0]
@@ -445,20 +455,55 @@ def _cell_key(p: FamilyParams):
 
 
 class CellPoints:
-    """One cell's evaluation points and the A-free part of their Gram
-    (hull.PointGram), shared by the hulls of the cell's tail matrices.
-    Both are made for the first A whose audit has a claim, since whether
-    a claim exists can depend on A through the corner."""
+    """One cell's A-free work, shared by the audits of its tail matrices:
+    the prediction of each corner class, made when first asked for, and
+    the cell's evaluation points with the A-free part of their Gram
+    (hull.PointGram), made for the first A whose audit has a claim."""
 
     def __init__(self, cell: FamilyParams):
-        self.cell = _cell_key(cell)
+        self.cell = cell
+        self._key = _cell_key(cell)
         self.gram: PointGram | None = None
+        self._x = None          # the blocks' share X of the Gram corner
+        self._classes = {}      # corner class (is it zero) -> Prediction
+
+    def _check(self, params):
+        if _cell_key(params) != self._key:
+            raise GrlError("audit params are not from this cell")
+
+    def prediction(self, zero: bool) -> Prediction:
+        """The prediction for this cell's A whose Gram corner is zero (or
+        nonzero), with empty corner slots."""
+        if zero not in self._classes:
+            self._classes[zero] = _predict_class(self.cell, zero)
+        return self._classes[zero]
+
+    def predict(self, params: FamilyParams) -> Prediction:
+        """The prediction of params' corner class, with the corner of
+        params' A (and X as theta) in the corner slots; GrlError for
+        another cell."""
+        self._check(params)
+        pred = self.prediction(False)
+        if "corner" not in pred.witnesses:  # this cell's ladder reads no A
+            return replace(pred, witnesses=dict(pred.witnesses))
+        ctx = params.ctx
+        if self._x is None:
+            self._x = _block_corner(params)
+        corner = ctx.add(ctx.mul(ctx.from_int(params.k), self._x),
+                         _row_norm_sum(ctx, params.a.data[0],
+                                       1 + params.q if params.hermitian
+                                       else 2))
+        pred = self.prediction(corner == ZERO)
+        w = dict(pred.witnesses)
+        if not params.hermitian:
+            w["theta"] = ctx.fmt(self._x)
+        w["corner"] = ctx.fmt(corner)
+        return replace(pred, witnesses=w)
 
     def hull(self, params: FamilyParams) -> HullReport:
         """The hull of params, this cell with some A; GrlError for
         another cell."""
-        if _cell_key(params) != self.cell:
-            raise GrlError("audit params are not from this cell")
+        self._check(params)
         inner = HERMITIAN if params.hermitian else EUCLIDEAN
         if self.gram is None:
             spec = build_spec(params)
@@ -472,12 +517,12 @@ class CellPoints:
 def audit(params: FamilyParams,
           points: CellPoints | None = None) -> AuditRecord:
     """Build the code, compute the hull, compare against the prediction.
-    points, made for params' cell, shares the cell's A-free hull work."""
-    pred = predict(params)
-    if pred.claim == "none":
-        raise NoClaim(pred.clause)
+    points, made for params' cell, shares the cell's A-free work."""
     if points is None:
         points = CellPoints(params)
+    pred = points.predict(params)
+    if pred.claim == "none":
+        raise NoClaim(pred.clause)
     computed = points.hull(params).hull_dim
     if pred.claim == "lcd":
         passed = computed == 0
@@ -591,7 +636,13 @@ def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
                records: list, budget: int) -> bool:
     """Audit samples random invertible A on one cell, plus, on a half-width
     tail, one A aimed at a zero corner; append the record of each A that
-    has a claim.  Returns True when the budget of records stops it first."""
+    has a claim.  Returns True when the budget of records stops it first.
+    Raises NoClaim, before it draws any A, when no corner class of the
+    cell has a claim."""
+    points = CellPoints(cell)
+    nonzero, zero = points.prediction(False), points.prediction(True)
+    if nonzero.claim == zero.claim == "none":
+        raise NoClaim(nonzero.clause)
     ctx, l = cell.ctx, cell.l
     mats = [sample_invertible(ctx, l, rng) for _ in range(samples)]
     if 2 * l == cell.k and mats:
@@ -601,7 +652,6 @@ def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
             extra = sample_first_row_sum(ctx, l, target, rng, cell.hermitian)
             if extra is not None:
                 mats.append(extra)
-    points = CellPoints(cell)
     for a in mats:
         if len(records) >= budget:
             return True
@@ -614,13 +664,17 @@ def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
 
 def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
           seed: int = 0, budget: int = 10 ** 6):
-    """Deterministic seeded sweep; returns (records, exhausted_budget)."""
+    """Deterministic seeded sweep; returns (records, exhausted_budget).
+    A cell that no A can satisfy is skipped without drawing any A."""
     rng = random.Random(seed)
     records = []
     for q, k, l, shifts in corpus_cells(family, qs, k_range):
         cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
-        if audit_cell(cell, rng, samples, records, budget):
-            return records, True
+        try:
+            if audit_cell(cell, rng, samples, records, budget):
+                return records, True
+        except NoClaim:
+            continue
     return records, False
 
 

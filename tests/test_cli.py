@@ -288,6 +288,10 @@ BAD_INPUTS = {
     "sweep-cell-no-claim-wide-tail": (
         CELL + ["--k", "2000", "--l", "1000", "--samples", "1"], None,
         "no theorem claim applies: k must divide q-1"),
+    "sweep-cell-no-claim-for-any-a": (
+        ["sweep", "--family", "E1", "--q", "81", "--k", "5", "--l", "3",
+         "--samples", "1000000"], None,
+        "no theorem claim applies: tail wider than k/2"),
     "sweep-cell-zero-samples": (CELL + ["--k", "5", "--l", "2", "--samples",
                                         "0"], None, "audited nothing"),
     "sweep-cell-h4-blocks-collide": (

@@ -8,9 +8,9 @@ import pytest
 from grlcodes import linalg
 from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                HERMITIAN_FAMILIES, CellPoints, FamilyParams,
-                               NoClaim, _corner_target, audit, build_spec,
-                               corpus_cells, delta_conditions, diag_powers,
-                               family_ctx, make_alpha, predict,
+                               NoClaim, _corner_target, audit, audit_cell,
+                               build_spec, corpus_cells, delta_conditions,
+                               diag_powers, family_ctx, make_alpha, predict,
                                sample_first_row_sum, sample_invertible, sweep)
 from grlcodes.gf import ZERO, GrlError
 from grlcodes.grl import (DistinctnessViolation, InvariantViolation,
@@ -282,21 +282,21 @@ def test_all_family_sweep_digest():
     # the all-family digest quoted in ROADMAP: the records of
     # sweep(f, samples=3, seed=5) for every family, as one list
     recs = [r for f in FAMILIES for r in sweep(f, samples=3, seed=5)[0]]
-    assert len(recs) == 3956
+    assert len(recs) == 3950
     assert _records_sha256(recs) == (
-        "807dd0a6d181feca0e4bf520db000680764613b11170380407291dbf5a422f04")
+        "337ed6a9e00675ef5bd24523747855e7c50ecd6f12c17f29950d97959277acbc")
 
 
 # sha256 of each family sweep's sorted-key JSON records
 SWEEP_SHA256 = {
     "E1": "c90972da52eab64d755bf9c47ea0d49ffbd2f15617d25fe6a110a6f93ebe1f1f",
     "E2": "9cc83ba1b86ffae1ca597ebeccabfdbd6ad5f1aa0f8cc02ecaa4f6c3a51ad225",
-    "E3": "38d890e01078dc927c419b72fb22acbc19c9de357be143fc8ba8abe731399cd6",
-    "E4": "00a722beeab512a3dda6581b66f2741166e97c4718ca7a95e7d33e6abb406978",
+    "E3": "91de5b8dbc5d43a96f9c328650c52be45f62ff4bd8ef17be37510606362a73d7",
+    "E4": "f8989f48f895ec56aca35e0f0126ba91fe9d5f2f7471c029a9b5be6d7fa04562",
     "H1": "ba4c6e0a1542e06e0d32331fcff500e849a49472c380a9a322fadf1bc887976b",
-    "H2": "0cf5aa43b1e9a385d723348ccb10199889e0334f25ceb431849325a3a32c39d1",
-    "H3": "f03919060b94d5c2f46db64772e0a4302de560148b2b672ecd246cac1d5df2bc",
-    "H4": "cefdd01d4a7b955ece9a303a9fcb421c20fd58f6e5417dd195a9e111bc8ffdbf",
+    "H2": "a7a06260900768cb727cbb8e419cd04dba2128a2a908ccd34ba42d867ac62251",
+    "H3": "d0801b51ab82b7bba2013ca5458a574a5d633cf7174712b544006354f0df0401",
+    "H4": "b3e90fd3cef980a829dc5a4d55c88045b36e530a98961f8d3bf4211099a57849",
 }
 
 
@@ -362,6 +362,65 @@ def test_cell_points_refuse_another_cell():
     assert audit(p, points) == audit(p)
     with pytest.raises(GrlError, match="not from this cell"):
         audit(replace(p, delta=3), points)
+
+
+def _first_rows_by_norm_sum(ctx, e):
+    """A first row (x, y) for each value x^e + y^e can take."""
+    els = [ZERO] + list(ctx.nonzero_elements())
+    rows = {}
+    for x in els:
+        for y in els:
+            rows.setdefault(ctx.add(ctx.pow(x, e), ctx.pow(y, e)), (x, y))
+    return rows
+
+
+def _without_corner(pred):
+    w = {key: val for key, val in pred.witnesses.items()
+         if key not in ("corner", "theta")}
+    return pred.claim, pred.value, pred.clause, w
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_prediction_reads_only_the_corner_class(family):
+    # on every default-corpus cell, an A with each corner value the cell's
+    # first rows reach gets its class's claim, value, clause and witnesses
+    # (the corner and theta strings apart); predict reads A only through
+    # its first row, so the rest of A is left zero
+    hermitian = family in HERMITIAN_FAMILIES
+    rows = {}
+    for q, k, l, shifts in corpus_cells(family):
+        ctx = family_ctx(family, q)
+        if q not in rows:
+            rows[q] = _first_rows_by_norm_sum(ctx, 1 + q if hermitian else 2)
+        cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
+        points = CellPoints(cell)
+        target = _corner_target(cell)  # -k X; None where there is no corner
+        for norm_sum, (a11, a12) in rows[q].items():
+            first = [a11, a12] + [ZERO] * (l - 2)
+            a = Matrix(ctx, [first] + [[ZERO] * l for _ in range(l - 1)])
+            pred = predict(replace(cell, a=a))
+            corner = None if target is None else ctx.sub(norm_sum, target)
+            assert _without_corner(pred) == _without_corner(
+                points.prediction(corner == ZERO)), (q, k, l, shifts)
+            if corner is None:
+                assert "corner" not in pred.witnesses, (q, k, l, shifts)
+            elif "corner" in pred.witnesses:
+                assert pred.witnesses["corner"] == ctx.fmt(corner)
+
+
+@pytest.mark.parametrize("cell,clause", [
+    (FamilyParams(family="E1", q=81, k=5, l=3, delta=1),
+     "tail wider than k/2"),
+    (FamilyParams(family="H3", q=3, k=4, l=2, s=4, t=1),
+     "shift difference valuation in N_l"),
+], ids=["E1-wide-tail", "H3-N_l"])
+def test_audit_cell_refuses_a_cell_without_a_claim_before_any_draw(cell,
+                                                                   clause):
+    rng, records = random.Random(5), []
+    state = rng.getstate()
+    with pytest.raises(NoClaim, match=f"no theorem claim applies: {clause}"):
+        audit_cell(cell, rng, 5, records, 10 ** 6)
+    assert rng.getstate() == state and records == []
 
 
 def test_sampled_a_is_proved_invertible_once(monkeypatch):
