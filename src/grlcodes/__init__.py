@@ -6,14 +6,4 @@ MDS/AMDS/NMDS, certifies non-GRS structure, and derives
 entanglement-assisted quantum code parameters.
 """
 
-from .gf import FieldCtx, field_new, field_from_str, ZERO
-from .grl import GrlSpec, build_generator
-from .linalg import Matrix
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FieldCtx", "field_new", "field_from_str", "ZERO",
-    "GrlSpec", "build_generator", "Matrix",
-    "__version__",
-]

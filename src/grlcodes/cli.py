@@ -20,7 +20,6 @@ import time
 
 from . import __version__
 from .gf import GrlError, field_from_str
-from .grl import GrlSpec
 
 # families.FAMILIES, spelt out so that building the parser imports no family
 FAMILIES = ("E1", "E2", "E3", "E4", "H1", "H2", "H3", "H4")
@@ -46,6 +45,7 @@ def _emit(args, payload):
 
 
 def _load_spec(path):
+    from .grl import GrlSpec
     with open(path) as fh:
         return GrlSpec.from_json_dict(json.load(fh))
 

@@ -134,7 +134,10 @@ def hull1_count_bound(ctx: FieldCtx, delta: int, l: int,
                       variant: str = "all") -> int:
     """Upper bound on the number of one-dimensional-hull GRL codes with
     k = 2l dividing q-1, for first rows ranging over F_q^l \\ {0}
-    (variant 'all') or (F_q^*)^l (variant 'nonzero')."""
+    (variant 'all') or (F_q^*)^l (variant 'nonzero').  GrlError for
+    l < 2, since a GRL code has tail width 2 <= l <= k."""
+    if l < 2:
+        raise GrlError(f"tail width l = {l} must be >= 2")
     q = ctx.q
     k = 2 * l
     if (q - 1) % k:

@@ -37,12 +37,10 @@ class EaqeccParams:
 
 def derive(report, inner_product: str) -> tuple[EaqeccParams, EaqeccParams]:
     """The two parameter tuples obtainable from one classical code."""
-    if inner_product == EUCLIDEAN:
-        hull = report.hull_e
-    elif inner_product == HERMITIAN:
-        hull = report.hull_h
-    else:
+    hulls = {EUCLIDEAN: report.hull_e, HERMITIAN: report.hull_h}
+    if inner_product not in hulls:
         raise GrlError(f"unknown inner product {inner_product!r}")
+    hull = hulls[inner_product]
     if hull is None:
         raise MissingHull(f"report carries no {inner_product} hull")
     n, k, h = report.n, report.k, hull.hull_dim

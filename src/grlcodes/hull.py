@@ -43,16 +43,11 @@ from typing import NamedTuple
 
 from .gf import ZERO, FieldCtx, GrlError
 from .grl import GrlSpec
-from .linalg import (Matrix, conj_transpose, conjugate, echelon,
-                     kernel_basis, mat_mul, rank, rank_rows, stack,
-                     transpose)
+from .linalg import (Matrix, RankDeficient, conjugate, echelon, kernel_basis,
+                     mat_mul, rank, rank_rows, stack, transpose)
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
-
-
-class RankDeficient(GrlError):
-    pass
 
 
 @dataclass
@@ -71,14 +66,14 @@ class HullReport:
 
 def gram(g: Matrix, inner_product: str) -> Matrix:
     """Oracle: G G^T, or G conj(G)^T over GF(q^2)."""
-    if inner_product == EUCLIDEAN:
-        return mat_mul(g, transpose(g))
-    if inner_product == HERMITIAN:
-        return mat_mul(g, conj_transpose(g))
-    raise GrlError(f"unknown inner product {inner_product!r}")
+    sigma = _sigma(g.ctx, inner_product)
+    return mat_mul(g, transpose(g if sigma == 1 else conjugate(g)))
 
 
 def _sigma(ctx: FieldCtx, inner_product: str) -> int:
+    """x -> x^sigma is the inner product's conjugation: sigma = 1
+    (Euclidean) or q over GF(q^2) (Hermitian).  Every function here reads
+    the inner product through it."""
     if inner_product == EUCLIDEAN:
         return 1
     if inner_product == HERMITIAN:
@@ -203,11 +198,7 @@ def dual_generator(g: Matrix, inner_product: str) -> Matrix:
     ker = kernel_basis(g)
     if ker.rows != g.cols - g.rows:
         raise RankDeficient("generator matrix must have full row rank")
-    if inner_product == EUCLIDEAN:
-        return ker
-    if inner_product == HERMITIAN:
-        return conjugate(ker)
-    raise GrlError(f"unknown inner product {inner_product!r}")
+    return ker if _sigma(g.ctx, inner_product) == 1 else conjugate(ker)
 
 
 def hull_dim_bruteforce(g: Matrix, inner_product: str) -> int:

@@ -19,6 +19,10 @@ class FieldMismatch(GrlError):
     pass
 
 
+class RankDeficient(GrlError):
+    pass
+
+
 class Matrix:
     """A rows x cols matrix over ``ctx``, stored as a list of row lists.
 
@@ -80,15 +84,6 @@ def _check_same_field(a: Matrix, b: Matrix):
 
 def transpose(m: Matrix) -> Matrix:
     return Matrix(m.ctx, [[m.data[i][j] for i in range(m.rows)]
-                          for j in range(m.cols)])
-
-
-def conj_transpose(m: Matrix) -> Matrix:
-    """Transpose with entrywise x -> x^q; needs a square field."""
-    if m.ctx.m % 2 != 0:
-        raise NotASquareField("conjugate transpose needs GF(q^2)")
-    frob = m.ctx.frob
-    return Matrix(m.ctx, [[frob(m.data[i][j]) for i in range(m.rows)]
                           for j in range(m.cols)])
 
 

@@ -26,8 +26,7 @@ from itertools import combinations, islice, permutations, product
 
 from .gf import ZERO, FieldCtx, TooLarge
 from .grl import GrlSpec, build_generator, grs_generator
-from .hull import RankDeficient
-from .linalg import Matrix, rank, rref, transpose
+from .linalg import Matrix, RankDeficient, rank, rref, transpose
 
 
 @dataclass

@@ -297,6 +297,31 @@ BAD_INPUTS = {
     "sweep-cell-h4-blocks-collide": (
         ["sweep", "--family", "H4", "--q", "3", "--k", "4", "--l", "3",
          "--delta", "3"], None, "no theorem claim applies: blocks collide"),
+    "sweep-cell-e3-blocks-collide": (
+        ["sweep", "--family", "E3", "--q", "31", "--k", "5", "--l", "2",
+         "--s", "7", "--t", "1"], None,
+        "no theorem claim applies: blocks collide: (q-1)/k divides s-t"),
+    "sweep-cell-h3-blocks-collide": (
+        ["sweep", "--family", "H3", "--q", "5", "--k", "4", "--l", "2",
+         "--s", "7", "--t", "1"], None,
+        "no theorem claim applies: blocks collide: (q^2-1)/k divides s-t"),
+    "sweep-cell-h4-delta-over-q": (
+        ["sweep", "--family", "H4", "--q", "3", "--k", "4", "--l", "2",
+         "--delta", "5"], None,
+        "no theorem claim applies: need 1 <= delta <= q"),
+    "sweep-cell-h1-k-divides-neither": (
+        ["sweep", "--family", "H1", "--q", "5", "--k", "8", "--l", "2"], None,
+        "no theorem claim applies: k divides neither q-1 nor q+1"),
+    "sweep-cell-h3-k-divides-neither": (
+        ["sweep", "--family", "H3", "--q", "5", "--k", "8", "--l", "2",
+         "--s", "2", "--t", "1"], None,
+        "no theorem claim applies: k divides neither q-1 nor q+1"),
+    "sweep-cell-h4-k-divides-neither": (
+        ["sweep", "--family", "H4", "--q", "5", "--k", "8", "--l", "2"], None,
+        "no theorem claim applies: k divides neither q-1 nor q+1"),
+    "sweep-cell-e2-tail-wider-than-half": (
+        ["sweep", "--family", "E2", "--q", "25", "--k", "4", "--l", "3"], None,
+        "no theorem claim applies: tail wider than k/2"),
     "sweep-l-without-k": (["sweep", "--family", "E1", "--q", "81", "--l",
                            "2", "--samples", "1"], None,
                           "--k and --l go together"),
@@ -403,10 +428,10 @@ def test_stdout_is_byte_identical(argv, sha256, a1_spec_file, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-# the library modules that only some commands run (importing grlcodes loads
-# gf, grl and linalg)
+# the library modules that only some commands run (importing grlcodes.cli
+# loads gf, and the package itself loads nothing)
 COMMAND_MODULES = {"appendix", "classify", "counting", "eaqecc", "families",
-                   "hull", "nongrs"}
+                   "grl", "hull", "linalg", "nongrs"}
 # run main(argv) in a fresh interpreter, then print its exit code and the
 # grlcodes modules it loaded
 _FOOTPRINT = """
@@ -423,8 +448,8 @@ print(json.dumps([rc, sorted(m.split(".", 1)[1] for m in sys.modules
 # (argv, exit code, command modules it may load)
 FOOTPRINTS = {
     "report": (["report", "--spec", SPEC], 0,
-               {"classify", "eaqecc", "hull", "nongrs"}),
-    "nongrs": (["nongrs", "--spec", SPEC], 0, {"hull", "nongrs"}),
+               {"classify", "eaqecc", "grl", "hull", "linalg", "nongrs"}),
+    "nongrs": (["nongrs", "--spec", SPEC], 0, {"grl", "linalg", "nongrs"}),
     "count": (COUNT, 0, {"counting"}),
     "usage-error": (["sweep", "--family", "Z9", "--q", "5"], 2, set()),
 }

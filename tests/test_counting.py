@@ -6,7 +6,7 @@ from grlcodes.counting import (NonIntegerResult, TooLarge, _surd_pair_sum,
                                brute_quadric_count, count_nf,
                                count_nf_excluding_zero, count_nf_star,
                                hull1_count_bound)
-from grlcodes.gf import ZERO, NotADivisor, field_new
+from grlcodes.gf import ZERO, GrlError, NotADivisor, field_new
 from grlcodes.linalg import Matrix, rank
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
@@ -146,10 +146,14 @@ def test_hull1_bound_value_q5():
         hull1_count_bound(field_new(7), 1, 2, "all")
 
 
-def test_hull1_bound_degenerate_tail_width_one():
-    # l = 1 leaves an empty product; k = 2 must divide q-1; d(6)-1 = 3
+def test_hull1_bound_refuses_tail_width_below_two():
+    # k = 2l = 2 divides q-1 = 12, and the count at l = 1 still agrees
+    # with brute force, but a bound for l < 2 counts no GRL code
     ctx = field_new(13)
     c = ctx.mul(ctx.from_int(2), ctx.element(2 + 6))
-    nf = count_nf_excluding_zero(ctx, 1, c)
-    assert nf == brute_quadric_count(ctx, 1, c)
-    assert hull1_count_bound(ctx, 1, 1, "all") == 3 * nf
+    assert count_nf_excluding_zero(ctx, 1, c) == brute_quadric_count(ctx, 1, c)
+    for l in (1, 0):
+        with pytest.raises(GrlError, match=f"l = {l} must be >= 2"):
+            hull1_count_bound(ctx, 1, l, "all")
+    with pytest.raises(GrlError, match="unknown variant 'some'"):
+        hull1_count_bound(ctx, 1, 2, "some")

@@ -12,7 +12,7 @@ from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                build_spec, corpus_cells, delta_conditions,
                                diag_powers, family_ctx, make_alpha, predict,
                                sample_first_row_sum, sample_invertible, sweep)
-from grlcodes.gf import ZERO, GrlError
+from grlcodes.gf import ZERO, GrlError, field_new
 from grlcodes.grl import (DistinctnessViolation, InvariantViolation,
                          build_generator)
 from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram
@@ -89,6 +89,14 @@ def test_predict_e1_clauses():
     assert pred2.claim == "hull_eq" and pred2.value == 1
     rec = audit(p2)
     assert rec.passed and rec.computed_hull == 1
+
+
+def test_first_row_sum_without_a_nonzero_row_is_none():
+    # q = 7 is 3 mod 4, so -1 is a non-square and x^2 + y^2 = 0 has only
+    # the zero row, which no invertible A has
+    a = sample_first_row_sum(field_new(7), 2, ZERO, random.Random(1),
+                             hermitian=False)
+    assert a is None
 
 
 def test_predict_h1_diagonal_regime_bound():

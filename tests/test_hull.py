@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grlcodes.classify import classify
+from grlcodes.eaqecc import derive
 from grlcodes.gf import ZERO, GrlError, field_new
 from grlcodes.grl import GrlSpec, build_generator, build_M
-from grlcodes.hull import (EUCLIDEAN, HERMITIAN, RankDeficient, dual_generator,
-                           gram, hull_dim_bruteforce, hull_report, point_gram,
+from grlcodes.hull import (EUCLIDEAN, HERMITIAN, dual_generator, gram,
+                           hull_dim_bruteforce, hull_report, point_gram,
                            spec_gram)
-from grlcodes.linalg import Matrix, conj_transpose, mat_mul, rank, transpose
+from grlcodes.linalg import (Matrix, RankDeficient, conjugate, mat_mul, rank,
+                             transpose)
 
 
 def unit_spec(ctx, alpha, a_rows, k):
@@ -67,7 +70,7 @@ def test_gram_symmetry_and_hermitian_self_conjugacy():
         ge = gram(m, EUCLIDEAN)
         assert ge == transpose(ge)
         gh = gram(m, HERMITIAN)
-        assert gh == conj_transpose(gh)
+        assert gh == transpose(conjugate(gh))
 
 
 def test_hermitian_gram_diagonal_plus_tail_when_k_divides_q_plus_1():
@@ -78,7 +81,7 @@ def test_hermitian_gram_diagonal_plus_tail_when_k_divides_q_plus_1():
     spec = unit_spec(ctx, [ctx.element(step * i + delta) for i in range(1, 5)],
                      [["g^1", "g^2"], ["g^3", "g^5"]], k)
     gm = gram(build_generator(spec), HERMITIAN)
-    tail = mat_mul(spec.a, conj_transpose(spec.a))
+    tail = mat_mul(spec.a, transpose(conjugate(spec.a)))
     for r in range(k):
         for c in range(k):
             expect = ZERO
@@ -136,6 +139,26 @@ def test_hermitian_hull_attains_tail_width():
     assert hull_dim_bruteforce(build_generator(spec), HERMITIAN) == 3
 
 
+# every entry point that takes an inner product's name, called with a
+# name that is neither
+ENTRY_POINTS = {
+    "gram": lambda spec, name: gram(build_generator(spec), name),
+    "dual_generator": lambda spec, name: dual_generator(build_generator(spec),
+                                                        name),
+    "point_gram": point_gram,
+    "hull_report": hull_report,
+    "spec_gram": spec_gram,
+    "eaqecc.derive": lambda spec, name: derive(classify(spec), name),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(),
+                         ids=ENTRY_POINTS.keys())
+def test_unknown_inner_product_is_refused(call):
+    with pytest.raises(GrlError, match="unknown inner product 'symplectic'"):
+        call(example_a1_spec(), "symplectic")
+
+
 def test_dual_generator_contracts():
     ctx = field_new(5, 2)
     g = Matrix(ctx, [[0, ZERO, 3, 5], [ZERO, 0, 7, 2]])
@@ -144,7 +167,7 @@ def test_dual_generator_contracts():
     prod = mat_mul(g, transpose(d))
     assert all(x == ZERO for row in prod.data for x in row)
     dh = dual_generator(g, HERMITIAN)
-    prod_h = mat_mul(g, transpose(conj_transpose(transpose(dh))))
+    prod_h = mat_mul(g, transpose(conjugate(dh)))
     assert all(x == ZERO for row in prod_h.data for x in row)
     # identity-block generator has the complementary identity dual
     gi = Matrix(ctx, [[0, ZERO, ZERO, ZERO], [ZERO, 0, ZERO, ZERO]])
@@ -249,7 +272,7 @@ def test_hermitian_spec_gram_evaluation_block_is_build_M(p, m):
                                            for i in range(1, k + 1)],
                            v=[ctx.one()] * k, a=a, k=k)
             gm = spec_gram(spec, HERMITIAN).data
-            corner = mat_mul(a, conj_transpose(a)).data
+            corner = mat_mul(a, transpose(conjugate(a))).data
             for r in range(k - l, k):
                 for c in range(k - l, k):
                     gm[r][c] = ctx.sub(gm[r][c], corner[r - (k - l)][c - (k - l)])
