@@ -538,7 +538,7 @@ def audit(params: FamilyParams,
 
 
 def sample_invertible(ctx: FieldCtx, l: int, rng: random.Random) -> Matrix:
-    els = [ZERO] + list(ctx.nonzero_elements())
+    els = range(ZERO, ctx.n)
     while True:
         a = Matrix(ctx, [[rng.choice(els) for _ in range(l)]
                          for _ in range(l)])
@@ -550,7 +550,7 @@ def sample_first_row_sum(ctx: FieldCtx, l: int, target: int,
                          rng: random.Random, hermitian: bool) -> Matrix | None:
     """Invertible A whose first row satisfies sum a_1i^2 = target
     (Euclidean) or sum a_1i^{1+q} = target (Hermitian); None on failure."""
-    els = [ZERO] + list(ctx.nonzero_elements())
+    els = range(ZERO, ctx.n)
     e = 1 + ctx.base_q if hermitian else 2
     for _ in range(_FIRST_ROW_TRIES):
         head = [rng.choice(els) for _ in range(l - 1)]

@@ -3,7 +3,7 @@
 Elements are stored in log form: the int -1 (``ZERO``) is the additive
 zero, and e in [0, q-2] stands for gamma^e where gamma is the fixed
 primitive element of the context.  Multiplication is exponent addition;
-addition goes through a precomputed Zech logarithm table.
+addition goes through a Zech logarithm table.
 
 The tables index elements by packed coefficient ids (id = sum c_i p^i in
 the polynomial basis).  They come from the permutation "times gamma" on
@@ -13,6 +13,12 @@ and the Zech table is one gather from log.  exp and log are 32-bit
 ``array('i')`` tables (every id and log is below ``FIELD_SIZE_CAP``);
 zech, which every addition reads, stays a list, since CPython specialises
 list subscripts and not array subscripts.
+
+A large field, whose whole tables cost ``FILL_FLOOR`` single entries or
+more, starts with memo dicts instead: each entry is computed the first
+time it is read (gamma^e by square and multiply, a log by Pohlig-Hellman),
+and once the fills reach the count that costs as much as the whole build,
+the field builds its whole tables as above.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ from functools import lru_cache
 from math import prod
 
 FIELD_SIZE_CAP = 1 << 20
+
+# a field whose whole tables cost fewer fills than this builds them when
+# made; a larger one fills entries on demand (docs/decisions.md, section 7)
+FILL_FLOOR = 256
 
 ZERO = -1
 
@@ -90,6 +100,26 @@ def prime_factors(x: int) -> list[int]:
     if x > 1:
         out.append(x)
     return out
+
+
+def _prime_powers(x: int) -> list[int]:
+    """The prime powers r^v || x, for x >= 1."""
+    return [r ** v_p(x, r) for r in prime_factors(x)]
+
+
+def _break_even(q: int, m: int) -> int:
+    """How many fills cost as much as building the whole tables of
+    GF(q = p^m).
+
+    In units of one step of the orbit walk, the build costs ~q.  A fill
+    takes one power of a degree-m polynomial (q.bit_length() products)
+    per prime power r^v || q - 1, ~5m steps a product, and the first
+    fills build a table of r^v roots of unity per prime power, ~4m steps
+    a root (calibrated in docs/decisions.md, section 7).
+    """
+    powers = _prime_powers(q - 1)
+    roots = 4 * m * sum(powers)
+    return (q - roots) // (5 * m * q.bit_length() * len(powers))
 
 
 # -- polynomial helpers over GF(p), little-endian coefficient lists --
@@ -250,6 +280,31 @@ def _times_x(f, p):
     return out
 
 
+class _Memo(dict):
+    """One of the exp, log and zech tables of a field that fills them on
+    demand: a missing entry is computed when first read, then kept.  The
+    field builds its whole tables once its fills reach the break-even
+    count; a memo a caller still holds then reads its misses from them."""
+
+    __slots__ = ("ctx", "table")
+
+    def __init__(self, ctx, table):
+        super().__init__()
+        self.ctx, self.table = ctx, table
+
+    def __missing__(self, key):
+        ctx = self.ctx
+        if not 0 <= key < (ctx.q if self.table == 1 else ctx.n):
+            raise IndexError(f"table index {key} out of range")
+        ctx._fills_left -= 1
+        if ctx._fills_left > 0:
+            val = ctx._fill(self.table, key)
+        else:
+            val = ctx.tables()[self.table][key]
+        self[key] = val
+        return val
+
+
 class FieldCtx:
     """Immutable GF(p^m) context with exp/log/Zech tables.
 
@@ -262,11 +317,16 @@ class FieldCtx:
 
     ``exp`` (log -> id) and ``log`` (id -> log) are ``array('i')``, 4 bytes
     an entry; ``zech`` (e -> log(1 + gamma^e)) is a list, for the addition
-    loops' faster subscripts.
+    loops' faster subscripts.  A field whose whole build costs
+    ``FILL_FLOOR`` fills or more (GF(1019^2), not GF(7^6)) starts with the
+    three as ``_Memo`` dicts filled on demand, with the same values at the
+    same subscripts, and builds them whole after ``_break_even`` fills;
+    ``tables()`` returns them whole in either mode.
     """
 
     __slots__ = ("p", "m", "q", "n", "half", "modulus",
-                 "exp", "log", "zech", "_frob_mult")
+                 "exp", "log", "zech", "_frob_mult", "_fills_left", "_ph",
+                 "_roots")
 
     def __init__(self, p: int, m: int = 1):
         if p == 2 or (p > 2 and p % 2 == 0):
@@ -288,8 +348,58 @@ class FieldCtx:
         self.n = q - 1          # multiplicative group order
         self.half = (q - 1) // 2  # log of -1
         self.modulus = _conway_poly(p, m)
-        self._build_tables()
         self._frob_mult = p ** (m // 2) if m % 2 == 0 else None
+        self._fills_left = _break_even(q, m)
+        if self._fills_left < FILL_FLOOR:
+            self._build_tables()
+            return
+        # no walk proves gamma primitive here, so prove it directly
+        if not _poly_order_is(self.modulus, p, self.n):
+            raise AssertionError("gamma does not have order q-1")
+        # Pohlig-Hellman: per prime power r^v || q - 1, its cofactor c and
+        # the CRT weight that is 1 mod r^v and 0 mod c
+        self._ph = []
+        for rv in _prime_powers(self.n):
+            c = self.n // rv
+            self._ph.append((rv, c, c * pow(c, -1, rv)))
+        self._roots = {}
+        self.exp, self.log, self.zech = (_Memo(self, t) for t in range(3))
+
+    def tables(self):
+        """The whole ``(exp, log, zech)``, as ``_build_tables`` makes them;
+        a field filling on demand builds them here, once."""
+        if type(self.zech) is _Memo:
+            self._build_tables()
+        return self.exp, self.log, self.zech
+
+    def _fill(self, table: int, key: int) -> int:
+        """Entry ``key`` (in range) of exp (table 0), log (1) or zech (2) of
+        a field filling on demand, computed alone: gamma^e is x^e mod the
+        modulus, and a log comes from Pohlig-Hellman, its residue mod each
+        prime power r^v || q - 1 read off a table of the r^v-th roots of
+        unity, which the first fill that needs it builds."""
+        p, n, mod, x = self.p, self.n, self.modulus, [0, 1]
+        if table == 1:
+            f = _ptrim([key // p ** i % p for i in range(self.m)])
+        else:
+            f = _ppowmod(x, key, mod, p)
+            if table == 0:
+                return self._poly_to_id(f)
+            f = _ptrim([(f[0] + 1) % p] + f[1:])  # 1 + gamma^e
+        if not f:
+            return ZERO
+        e = 0
+        for rv, c, weight in self._ph:
+            roots = self._roots.get(rv)
+            if roots is None:   # zeta^j -> j for zeta = gamma^c, of order rv
+                zeta, cur, roots = _ppowmod(x, c, mod, p), [1], {}
+                for j in range(rv):
+                    roots[self._poly_to_id(cur)] = j
+                    cur = _pmod(_pmul(cur, zeta, p), mod, p)
+                self._roots[rv] = roots
+            # f = gamma^L gives f^c = zeta^(L mod rv)
+            e += roots[self._poly_to_id(_ppowmod(f, c, mod, p))] * weight
+        return e % n
 
     # ids are packed coefficient vectors: id = sum c_i p^i
 

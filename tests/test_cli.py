@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import grlcodes
-from grlcodes import families
+from grlcodes import families, gf
 from grlcodes.cli import build_parser, main
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.nongrs import NonGrsCertificate
@@ -393,6 +393,32 @@ def test_report_leaves_a_root_level_at_its_cap(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out[1] == "102,5,97,NMDS,2,"
+
+
+# a seeded cold-cli benchmark spec over GF(1019^2), the largest field
+BIG_FIELD_SPEC = {
+    "field": "1019^2", "k": 3, "l": 2,
+    "alpha": ["g^348855", "g^939077", "g^756530", "g^1020527", "g^745737",
+              "g^525125"],
+    "v": ["g^981929", "g^1014193", "g^442611", "g^532380", "g^870355",
+          "g^954398"],
+    "A": [["g^702866", "g^199070"], ["0", "g^318104"]],
+}
+
+
+def test_report_over_the_largest_field(tmp_path, capsys, monkeypatch):
+    # the report reads ~150 Zech entries, so the field fills them on
+    # demand and never builds its whole tables (~3 M entries); a fresh
+    # field cache keeps this test apart from others that use the field
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(BIG_FIELD_SPEC))
+    rc = main(["report", "--spec", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "03c6bf342223ef089bb9fccd8b417b721724d49b96f9b5a79ea4baff9024e6f0")
+    assert type(gf.field_new(1019, 2).zech) is gf._Memo
 
 
 # sha256 of stdout; a change that means to alter the output updates these

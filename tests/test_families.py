@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from grlcodes import linalg
+from grlcodes import gf, linalg
 from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                HERMITIAN_FAMILIES, CellPoints, FamilyParams,
                                NoClaim, _corner_target, audit, audit_cell,
@@ -328,6 +328,19 @@ def test_family_audits_all_pass_hermitian(family, digest):
     bad = [r for r in recs if not r.passed]
     assert not bad, bad[:3]
     assert _records_sha256(recs) == digest
+
+
+def test_h1_sweep_over_the_largest_field(monkeypatch):
+    # GF(1019^2) starts filling its tables on demand; this sweep reads
+    # 4,263 distinct Zech entries, so the field builds its whole tables
+    # part way through, and the records must not notice.  A fresh field
+    # cache keeps the tens of MB from outliving the test.
+    monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    recs, _ = sweep("H1", qs=(1019,), samples=1, seed=0)
+    assert len(recs) == 48
+    assert _records_sha256(recs) == (
+        "b3484ec951a032fecd13b94b1fb3f7eeeb9c2e068bdcdd4575d85eafda238404")
+    assert type(field_new(1019, 2).zech) is list
 
 
 @pytest.mark.parametrize("family", FAMILIES)

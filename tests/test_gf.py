@@ -4,11 +4,12 @@ from array import array
 
 import pytest
 
-from grlcodes.gf import (FIELD_SIZE_CAP, ZERO, EvenCharacteristic, FieldCtx,
-                         FieldTooLarge, NotPrime, NotASquareField,
-                         _conway_poly, _poly_order_is, _ppowmod, _ptrim,
-                         divisor_count, field_new, field_from_str, is_prime,
-                         quadratic_character, v_p)
+from grlcodes import gf
+from grlcodes.gf import (FIELD_SIZE_CAP, FILL_FLOOR, ZERO, EvenCharacteristic,
+                         FieldCtx, FieldTooLarge, NotPrime, NotASquareField,
+                         _break_even, _conway_poly, _Memo, _poly_order_is,
+                         _ppowmod, _ptrim, divisor_count, field_new,
+                         field_from_str, is_prime, quadratic_character, v_p)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
                 (3, 2), (5, 2), (7, 2), (3, 4), (11, 2)]
@@ -96,7 +97,7 @@ TABLE_SHA256 = {
 @pytest.mark.parametrize("p,m", sorted(TABLE_SHA256))
 def test_tables_are_pinned(p, m):
     ctx = FieldCtx(p, m)  # uncached, so its tables do not outlive the test
-    text = repr((list(ctx.exp), list(ctx.log), list(ctx.zech)))
+    text = repr(tuple(map(list, ctx.tables())))
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[(p, m)]
 
 
@@ -104,9 +105,9 @@ def test_table_storage():
     # exp and log are 32-bit arrays, which keep a large field light; every
     # addition reads zech, and CPython specialises list subscripts, so it
     # stays a list.  Every id and log is below the cap, so none overflows.
-    ctx = FieldCtx(7, 6)
-    assert ctx.exp.typecode == ctx.log.typecode == "i"
-    assert type(ctx.zech) is list
+    exp, log, zech = FieldCtx(7, 6).tables()
+    assert exp.typecode == log.typecode == "i"
+    assert type(zech) is list
     assert 2 ** (8 * array("i").itemsize - 1) > FIELD_SIZE_CAP
 
 
@@ -144,6 +145,95 @@ def test_tables_refuse_a_gamma_of_lower_order(p, modulus):
     ctx.modulus = modulus
     with pytest.raises(AssertionError, match="order q-1"):
         ctx._build_tables()
+
+
+def _on_demand(monkeypatch, p, m):
+    """An uncached GF(p^m) that fills its tables on demand and never builds
+    them whole."""
+    monkeypatch.setattr(gf, "_break_even", lambda q, m: 10 ** 9)
+    ctx = FieldCtx(p, m)
+    monkeypatch.undo()
+    assert type(ctx.zech) is _Memo
+    return ctx
+
+
+@pytest.mark.parametrize("p,m", [(31, 1), (13, 2), (7, 3), (3, 6), (101, 2)])
+def test_fills_match_the_walk(p, m, monkeypatch):
+    # every entry of every table, filled alone, equals the orbit walk's
+    exp, log, zech = FieldCtx(p, m).tables()
+    ctx = _on_demand(monkeypatch, p, m)
+    assert [ctx._fill(0, e) for e in range(ctx.n)] == list(exp)
+    assert [ctx._fill(1, i) for i in range(ctx.q)] == list(log)
+    assert [ctx._fill(2, e) for e in range(ctx.n)] == zech
+    # the memos read the same, and refuse what the tables do not hold
+    assert all(ctx.zech[e] == zech[e] for e in range(0, ctx.n, 7))
+    with pytest.raises(IndexError):
+        ctx.log[ctx.q]
+    with pytest.raises(IndexError):
+        ctx.exp[-1]
+
+
+def test_fills_match_polynomial_powers_on_the_largest_field():
+    # GF(1019^2) starts on demand; 700 seeded exponents check 2,100 fills
+    # against x^e in coefficient-list arithmetic, as
+    # test_tables_match_polynomial_powers checks the walk
+    ctx = FieldCtx(1019, 2)
+    assert type(ctx.zech) is _Memo
+    p, rng = ctx.p, random.Random(1019)
+    for e in rng.sample(range(ctx.n), 700):
+        f = _ppowmod([0, 1], e, ctx.modulus, p)
+        assert ctx._fill(0, e) == _packed(f, p)
+        assert ctx._fill(1, _packed(f, p)) == e
+        one_plus = _ptrim([(f[0] + 1) % p] + f[1:])
+        z = ctx._fill(2, e)
+        if one_plus:
+            assert z >= 0 and _ppowmod([0, 1], z, ctx.modulus, p) == one_plus
+        else:
+            assert z == ZERO
+    assert type(ctx.zech) is _Memo   # _fill alone never promotes
+
+
+def test_promotion_at_the_break_even_count(monkeypatch):
+    # a field that starts on demand builds its whole tables on the fill
+    # that reaches the estimate; a memo held from before keeps reading
+    # right values
+    monkeypatch.setattr(gf, "FILL_FLOOR", 1)
+    ctx = FieldCtx(101, 2)
+    monkeypatch.undo()
+    be = _break_even(ctx.q, ctx.m)
+    assert 1 < be < 100
+    exp, log, zech = FieldCtx(101, 2).tables()
+    held = ctx.zech
+    for e in range(be - 1):
+        assert held[e] == zech[e]
+    assert type(ctx.zech) is _Memo
+    assert held[be - 1] == zech[be - 1]
+    assert type(ctx.zech) is list and ctx.tables() == (exp, log, zech)
+    assert all(held[e] == zech[e] for e in range(ctx.n))
+    assert ctx.log[2] == log[2] and ctx.exp[5] == exp[5]
+
+
+def test_which_fields_fill_on_demand():
+    # the large cold-cli report field fills on demand; the other report
+    # fields, GF(3^12) and every field up to 40,000 elements build whole
+    # when made, as do the sweep and distance fields (q <= 729)
+    def starts_on_demand(p, m):
+        return _break_even(p ** m, m) >= FILL_FLOOR
+    assert starts_on_demand(1019, 2) and starts_on_demand(101, 3)
+    assert not any(starts_on_demand(p, m) for p, m in
+                   [(13, 4), (3, 10), (7, 6), (99991, 1), (3, 12)])
+    assert not any(starts_on_demand(p, m) for p in range(3, 40000, 2)
+                   if is_prime(p) for m in range(1, 11) if p ** m < 40000)
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (3, [1, 0, 1]), (7, [2, 0, 0, 1]), (7, [6, 1]), (3, [0, 0, 1])])
+def test_on_demand_refuses_a_gamma_of_lower_order(p, modulus, monkeypatch):
+    # no walk runs on demand, so the order is proved before any fill
+    monkeypatch.setattr(gf, "_conway_poly", lambda p, m: modulus)
+    monkeypatch.setattr(gf, "_break_even", lambda q, m: 10 ** 9)
+    with pytest.raises(AssertionError, match="order q-1"):
+        FieldCtx(p, len(modulus) - 1)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1),
@@ -273,9 +363,10 @@ CONWAY = {
     (99991, 1): [99985, 1],
 }
 # above this q only the search is checked here: field_new keeps every
-# context for the rest of the session, and the tables of GF(7^6), GF(3^12)
-# and GF(1019^2) hold tens of MB.  GF(7^6) is built uncached and pinned
-# above; CI pins the tables of the other two.
+# context for the rest of the session, and the whole tables of GF(7^6),
+# GF(3^12) and GF(1019^2) hold tens of MB.  GF(7^6) is built uncached and
+# pinned above; CI pins the whole tables of the other two, which
+# ctx.tables() builds whatever mode the field starts in.
 TABLE_CHECK_MAX_Q = 10 ** 5
 
 
@@ -287,7 +378,7 @@ def test_modulus_is_the_conway_polynomial(p, m):
     ctx = field_new(p, m)
     assert ctx.modulus == CONWAY[(p, m)]
     # gamma is the class of x and has full order: its q - 1 powers differ
-    assert len(set(ctx.exp)) == ctx.n
+    assert len(set(ctx.tables()[0])) == ctx.n
 
 
 @pytest.mark.parametrize("p,m", [(5, 2), (3, 4), (13, 2), (3, 6)])
