@@ -13,7 +13,10 @@ min(C(n, s), q^(l-1)) per level) instead of the subsets:
   evaluation-set levels k-l+1 upward, by the row ranks of A^-1 H per
   signature (H from the complete symmetric functions).
 
-classify skips the d-dual search for an MDS code, whose dual is MDS.
+classify runs one DP per spec: it hands one level source (_Levels) to
+both engines, so d builds levels 1..k-1 and d-dual reads the ones d kept,
+the same dicts in the same order.  It skips the d-dual search for an MDS
+code, whose dual is MDS.
 
 Oracles:
 
@@ -208,6 +211,27 @@ def _levels_fit(n, q, width, s, budget):
     return True
 
 
+class _Levels:
+    """The signature levels of -alpha, width l-1, for one spec: level s is
+    built, by ``_extend`` from level s-1, when a level at or past s is
+    first read.  The levels from k-l+1 on, the only ones either engine
+    searches, are kept; the lower ones are dropped once extended."""
+
+    def __init__(self, spec):
+        self.ctx, self.first = spec.ctx, spec.k - spec.l + 1
+        self.neg = [spec.ctx.neg(a) for a in spec.alpha]
+        self.top, self.built = {(ZERO,) * (spec.l - 1): -1}, 0
+        self.kept = {}
+
+    def __getitem__(self, s):
+        while self.built < s:
+            self.top = _extend(self.ctx, self.top, self.neg)
+            self.built += 1
+            if self.built >= self.first:
+                self.kept[self.built] = self.top
+        return self.kept[s]
+
+
 def _largest_deficient(ctx, lines, r, lo):
     """Largest t in [lo, len(lines) - 1] such that some t of the vectors
     ``lines``, which together have rank r, have rank < r; 0 if none."""
@@ -220,7 +244,8 @@ def _largest_deficient(ctx, lines, r, lo):
     return 0
 
 
-def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
+def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
+                     levels: _Levels | None = None) -> int:
     """Exact minimum distance: length minus the most zeros of a nonzero word.
 
     A word (v_j f(a_j), beta), deg f < k, is zero at the roots of f among
@@ -239,16 +264,14 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     once per signature e_1..e_{l-1}(-R), not once per root set: with
     s[j] = e_j(-R), row i of C A is row l-km+i of T A, T[p][j] = s[p-j].
     The budget charges the signature levels 1..k-1 before any is built.
+    The levels come from ``levels`` (its own when None); the first one
+    read, k-1, builds them all.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     if not _levels_fit(n, ctx.q, l - 1, k - 1, budget):
         raise BudgetExceeded(spec.length - (k - 1 + l), budget)
-    neg = [ctx.neg(a) for a in spec.alpha]
-    level, levels = {(ZERO,) * (l - 1): -1}, {}
-    for s in range(1, k):
-        level = _extend(ctx, level, neg)
-        if s > k - l:
-            levels[s] = level
+    if levels is None:
+        levels = _Levels(spec)
     acols = [spec.a.col(u) for u in range(l)]
     best = k - 1
     for m in range(k - 1, k - l, -1):
@@ -267,7 +290,8 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     return spec.length - best
 
 
-def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
+def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
+                      levels: _Levels | None = None) -> int:
     """Exact dual distance: the fewest columns of G that are dependent.
 
     Take e evaluation columns E and b tail columns T, c = e - k + l.  Rows
@@ -283,29 +307,25 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET) -> int:
     which Newton's identity gives from s[i] = e_i(-E), i < l:
     h_j = -(s[1] h_{j-1} + ... + s[j] h_0).  So e runs from k - l + 1 up,
     once per signature of -E, and stops once e + 1 reaches the best.  The
-    budget charges signature level e before it is built.
+    budget charges signature level e before it is read; the levels come
+    from ``levels`` (its own when None), and a source that d has read
+    holds levels k-l+1..k-1 already, so none is built again.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
-    first = k - l + 1
-    if not _levels_fit(n, ctx.q, l - 1, first, budget):
-        raise BudgetExceeded(first + 1, budget)
+    if levels is None:
+        levels = _Levels(spec)
     aug = [row + [0 if u == i else ZERO for u in range(l)]
            for i, row in enumerate(spec.a.data)]
     echelon(ctx, aug)
     ainv = [row[l:] for row in aug]
-    neg = [ctx.neg(a) for a in spec.alpha]
-    level = {(ZERO,) * (l - 1): -1}
-    for _ in range(1, first):
-        level = _extend(ctx, level, neg)
     best = k + 1
-    for e in range(first, k):
+    for e in range(k - l + 1, k):
         if e + 1 >= best:
             break
         if not _levels_fit(n, ctx.q, l - 1, e, budget):
             raise BudgetExceeded(e + 1, budget)
-        level = _extend(ctx, level, neg)
         c = e - k + l
-        for sig in level:
+        for sig in levels[e]:
             s = (0,) + sig
             h = [0]
             for j in range(1, l):
@@ -371,12 +391,21 @@ def _label(defect, defect_dual):
     return "other"
 
 
+def _distances(spec):
+    """(d, d-dual) from one signature DP: d builds the levels, and d-dual
+    reads the ones d kept.  An MDS code has an MDS dual, so its d-dual is
+    k + 1 with no search."""
+    levels = _Levels(spec)
+    d = grl_min_distance(spec, levels=levels)
+    if d == spec.length - spec.k + 1:
+        return d, spec.k + 1
+    return d, dual_min_distance(spec, levels=levels)
+
+
 def classify(spec: GrlSpec, with_nongrs: bool = False) -> CodeReport:
     """Full report: distances, defect labels, hulls, EAQECC parameters."""
     nn = spec.length
-    d = grl_min_distance(spec)
-    # an MDS code has an MDS dual
-    dd = spec.k + 1 if d == nn - spec.k + 1 else dual_min_distance(spec)
+    d, dd = _distances(spec)
     defect = nn + 1 - spec.k - d
     defect_dual = spec.k + 1 - dd
     rep = CodeReport(

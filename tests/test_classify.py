@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grlcodes import classify as classify_mod
 from grlcodes.appendix import load_rows
 from grlcodes.classify import (BudgetExceeded, TooLarge, _extend, classify,
                                dual_min_distance, enum_min_distance,
@@ -104,12 +105,16 @@ def small_specs(draw):
 @settings(max_examples=400, deadline=None)
 @given(small_specs())
 def test_root_subset_search_matches_column_search(spec):
-    """Both signature engines agree with the column search on G and on a
-    parity-check matrix, and an MDS code has an MDS dual."""
+    """Both signature engines, standalone with their own levels, agree
+    with the column search on G and on a parity-check matrix and with
+    classify, whose d-dual reads the levels its d built; an MDS code has
+    an MDS dual."""
     g = build_generator(spec)
     d, dd = grl_min_distance(spec), dual_min_distance(spec)
     assert d == min_distance(g)
     assert dd == min_distance(dual_generator(g, EUCLIDEAN))
+    rep = classify(spec)
+    assert (rep.d, rep.d_dual) == (d, dd)
     if d == spec.length - spec.k + 1:
         assert dd == spec.k + 1
 
@@ -127,6 +132,34 @@ def test_engines_match_column_search_on_appendix():
             assert grl_min_distance(row.spec) == min_distance(g), row.id
             checked += 1
     assert checked == 27
+
+
+def test_classify_builds_each_signature_level_once(monkeypatch):
+    """classify builds the signature levels 1..k-1 once, in d, and d-dual
+    reads the levels d kept: k - 1 calls of _extend per row, whether or
+    not d-dual is searched.  Standalone, each engine builds its own."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _extend(*args)
+
+    monkeypatch.setattr(classify_mod, "_extend", counting)
+    searched = 0
+    for row in load_rows("all"):
+        spec = row.spec
+        calls.clear()
+        rep = classify(spec)
+        assert len(calls) == spec.k - 1, row.id
+        calls.clear()
+        assert grl_min_distance(spec) == rep.d
+        assert len(calls) == spec.k - 1, row.id
+        if rep.label != "MDS":
+            searched += 1
+            calls.clear()
+            assert dual_min_distance(spec) == rep.d_dual
+            assert spec.k - spec.l + 1 <= len(calls) <= spec.k - 1, row.id
+    assert searched == 29
 
 
 def _subset_signatures(ctx, points, s, width):
@@ -215,6 +248,18 @@ def test_grl_min_distance_budget_on_long_code():
     assert exc.value.lower_bound == 95 and exc.value.budget == 10 ** 7
     assert str(exc.value) == ("distance search exceeded budget 10000000; "
                               "d >= 95")
+
+
+def test_classify_budget_on_long_code():
+    # the [103, 6] GF(99991) code of the test above: classify stops in d,
+    # before it builds any signature level, with the same lower bound
+    ctx = field_new(99991)
+    alpha = [ctx.element(e) for e in range(1, 101)]
+    spec = unit_spec(ctx, alpha, [["g^0", "0", "0"], ["0", "g^0", "0"],
+                                  ["0", "0", "g^0"]], 6)
+    with pytest.raises(BudgetExceeded) as exc:
+        classify(spec)
+    assert exc.value.lower_bound == 95 and exc.value.budget == 10 ** 7
 
 
 def test_grl_min_distance_charges_each_level_in_full():
