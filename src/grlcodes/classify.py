@@ -13,6 +13,15 @@ min(C(n, s), q^(l-1)) per level) instead of the subsets:
   evaluation-set levels k-l+1 upward, by the row ranks of A^-1 H per
   signature (H from the complete symmetric functions).
 
+Per signature, each engine asks for the largest set of its l lines (the
+columns of C A, or the rows of A^-1 H) whose rank is below r, the rank
+of all l.  Rank 1 and rank 2, nearly every call on the appendix, are
+decided by counting, with no elimination: lines of rank 1 are scalars,
+and a set has rank 0 when all of them are zero, so the answer is the
+number of zero scalars; a set of rank below 2 lies in one direction, so
+the answer is the zero lines plus the largest class of proportional
+lines.  Only r >= 3 ranks subsets (_largest_deficient).
+
 classify runs one DP per spec: it hands one level source (_Levels) to
 both engines, so d builds levels 1..k-1 and d-dual reads the ones d kept,
 the same dicts in the same order.  It skips the d-dual search for an MDS
@@ -234,9 +243,24 @@ class _Levels:
 
 def _largest_deficient(ctx, lines, r, lo):
     """Largest t in [lo, len(lines) - 1] such that some t of the vectors
-    ``lines``, which together have rank r, have rank < r; 0 if none."""
-    if r == 1:
-        t = sum(line[0] < 0 for line in lines)
+    ``lines``, which together have rank r >= 2, have rank < r; 0 if none.
+
+    A set of rank < 2 lies in one direction: its zero lines plus lines
+    proportional to one another.  So for r = 2 the largest such set is the
+    zero lines plus the largest class of proportional lines, which a count
+    finds: (x, y) with both nonzero is keyed by y / x, (y - x) mod n in log
+    form, and (0, y) and (x, 0) each by a key of its own.  For r >= 3 each
+    t-subset is ranked, from t = len - 1 down to lo.  (Rank 1 is a count
+    of zero scalars, which both engines make at the call site.)"""
+    if r == 2:
+        n, zeros, classes = ctx.n, 0, {}
+        for x, y in lines:
+            if x < 0 and y < 0:
+                zeros += 1
+                continue
+            key = -1 if x < 0 else -2 if y < 0 else (y - x) % n
+            classes[key] = classes.get(key, 0) + 1
+        t = zeros + max(classes.values())
         return t if t >= lo else 0
     for t in range(len(lines) - 1, lo - 1, -1):
         if any(rank_rows(ctx, sub) < r for sub in combinations(lines, t)):
@@ -266,6 +290,11 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     The budget charges the signature levels 1..k-1 before any is built.
     The levels come from ``levels`` (its own when None); the first one
     read, k-1, builds them all.
+
+    At level k-1 (km = 1) C A is one row, row . A with row = the
+    signature reversed and then 1, so the tail zeros of a word are the
+    zero entries of that row: a count of zero dot products.  Levels with
+    km >= 2 go to _largest_deficient.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     if not _levels_fit(n, ctx.q, l - 1, k - 1, budget):
@@ -279,11 +308,16 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
             break
         km = k - m
         for sig in levels[m]:
-            s = (0,) + sig
-            rows = [s[p::-1] for p in range(l - km, l)]
-            cols = [[ctx.dot(row, acol) for row in rows] for acol in acols]
-            t = _largest_deficient(ctx, cols, km, best - m + 1)
-            if t:
+            if km == 1:
+                row = sig[::-1] + (0,)
+                t = sum(ctx.dot(row, acol) < 0 for acol in acols)
+            else:
+                s = (0,) + sig
+                rows = [s[p::-1] for p in range(l - km, l)]
+                cols = [[ctx.dot(row, acol) for row in rows]
+                        for acol in acols]
+                t = _largest_deficient(ctx, cols, km, best - m + 1)
+            if m + t > best:
                 best = m + t
                 if best == m + l - 1:
                     break
@@ -310,6 +344,11 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     budget charges signature level e before it is read; the levels come
     from ``levels`` (its own when None), and a source that d has read
     holds levels k-l+1..k-1 already, so none is built again.
+
+    At e = k-l+1 (c = 1) K is one column, A^-1 h, and the rows outside T
+    have rank 0 iff all of them are zero, so the largest row set is the
+    number of zero entries of A^-1 h.  Levels with c >= 2 go to
+    _largest_deficient.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     if levels is None:
@@ -330,10 +369,13 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
             h = [0]
             for j in range(1, l):
                 h.append(ctx.neg(ctx.dot(s[1:j + 1], h[::-1])))
-            rows = [[ctx.dot(arow[c - 1 - i:], h) for i in range(c)]
-                    for arow in ainv]
-            t = _largest_deficient(ctx, rows, c, l - best + e + 1)
-            if t:
+            if c == 1:
+                t = sum(ctx.dot(arow, h) < 0 for arow in ainv)
+            else:
+                rows = [[ctx.dot(arow[c - 1 - i:], h) for i in range(c)]
+                        for arow in ainv]
+                t = _largest_deficient(ctx, rows, c, l - best + e + 1)
+            if e + l - t < best:
                 best = e + l - t
                 if best == e + 1:
                     break

@@ -1,19 +1,21 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grlcodes import classify as classify_mod
+from grlcodes import classify as classify_mod, linalg
 from grlcodes.appendix import load_rows
-from grlcodes.classify import (BudgetExceeded, TooLarge, _extend, classify,
+from grlcodes.classify import (BudgetExceeded, TooLarge, _extend,
+                               _largest_deficient, classify,
                                dual_min_distance, enum_min_distance,
                                grl_min_distance, min_distance)
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import EUCLIDEAN, dual_generator
-from grlcodes.linalg import Matrix, rank
+from grlcodes.linalg import Matrix, rank, rank_rows
 from grlcodes.nongrs import elementary_symmetric
 
 
@@ -39,10 +41,10 @@ def example_a2_spec():
     return unit_spec(ctx, [ctx.element(3 * i + 1) for i in range(1, 9)], a, 8)
 
 
-def random_small_spec(rng, ctx, k=None, l=None):
+def random_small_spec(rng, ctx, k=None, l=None, n=None):
     els = list(ctx.nonzero_elements())
     k = rng.randint(2, 4) if k is None else k
-    n = rng.randint(k, min(ctx.q, k + 3))
+    n = rng.randint(k, min(ctx.q, k + 3)) if n is None else n
     l = rng.randint(2, k) if l is None else l
     alpha = rng.sample(list(ctx.elements()), n)
     v = [rng.choice(els) for _ in range(n)]
@@ -160,6 +162,167 @@ def test_classify_builds_each_signature_level_once(monkeypatch):
             assert dual_min_distance(spec) == rep.d_dual
             assert spec.k - spec.l + 1 <= len(calls) <= spec.k - 1, row.id
     assert searched == 29
+
+
+def test_classify_decides_rank_one_and_two_by_counting(monkeypatch,
+                                                        appendix_results):
+    """On the 33 appendix rows, classify counts zero scalars for rank 1 at
+    the call site, so _largest_deficient never sees r = 1, and its r = 2
+    count of directions makes no elimination: no r = 2 call reaches
+    linalg.echelon.  The answers are those of the shared appendix run."""
+    calls, eliminations = [], []
+
+    def counting_deficient(ctx, lines, r, lo):
+        before = len(eliminations)
+        t = _largest_deficient(ctx, lines, r, lo)
+        calls.append((r, len(eliminations) - before))
+        return t
+
+    def counting_echelon(ctx, rows):
+        eliminations.append(len(rows))
+        return echelon(ctx, rows)
+
+    echelon = linalg.echelon
+    monkeypatch.setattr(classify_mod, "_largest_deficient", counting_deficient)
+    monkeypatch.setattr(linalg, "echelon", counting_echelon)
+    for row in load_rows("all"):
+        rep = classify(row.spec)
+        expect = appendix_results[row.id].report
+        assert (rep.d, rep.d_dual) == (expect.d, expect.d_dual), row.id
+    ranks = [r for r, _ in calls]
+    assert 1 not in ranks and 2 in ranks
+    assert all(n == 0 for r, n in calls if r == 2)
+
+
+def _oracle_deficient(ctx, lines, r, lo):
+    """Largest t in [lo, len - 1] with a t-subset of ``lines`` of rank
+    < r, by ranking every subset; 0 if none."""
+    for t in range(len(lines) - 1, lo - 1, -1):
+        if any(rank_rows(ctx, sub) < r for sub in combinations(lines, t)):
+            return t
+    return 0
+
+
+def _lines_of_rank(rng, ctx, r, size):
+    """``size`` vectors of length r and rank r: zero lines, multiples of
+    a few shared directions, and free vectors, so that the largest
+    deficient set mixes zeros with one repeated direction."""
+    els = list(ctx.elements())
+    while True:
+        dirs = [[rng.choice(els) for _ in range(r)]
+                for _ in range(rng.randint(1, 3))]
+        lines = []
+        for _ in range(size):
+            kind = rng.random()
+            if kind < 0.25:
+                lines.append([ZERO] * r)
+            elif kind < 0.75:
+                c = rng.randrange(ctx.n)
+                lines.append([ctx.mul(c, x) for x in rng.choice(dirs)])
+            else:
+                lines.append([rng.choice(els) for _ in range(r)])
+        if rank_rows(ctx, lines) == r:
+            return lines
+
+
+def test_largest_deficient_matches_subset_ranks():
+    """_largest_deficient for r = 2 (a count of zero lines plus the
+    largest class of proportional lines) and r = 3 (the subset search)
+    against ranking every subset, for every floor lo; and the rank-1
+    count both engines make at the call site, the zero dot products,
+    against the same oracle on the 1-vectors of those products."""
+    rng = random.Random(26)
+    zeros_decide = 0
+    for p, m in ((7, 1), (3, 2), (5, 2)):
+        ctx = field_new(p, m)
+        els = list(ctx.elements())
+        for _ in range(40):
+            for r in (2, 3):
+                lines = _lines_of_rank(rng, ctx, r, rng.randint(r + 1, 7))
+                for lo in range(len(lines)):
+                    assert (_largest_deficient(ctx, lines, r, lo)
+                            == _oracle_deficient(ctx, lines, r, lo)), lines
+                zeros = sum(line == [ZERO] * r for line in lines)
+                top = _oracle_deficient(ctx, lines, r, 0)
+                zeros_decide += r == 2 and 0 < zeros < top
+            row = [rng.choice(els) for _ in range(rng.randint(2, 6))]
+            cols = [[rng.choice([ZERO, ZERO] + els) for _ in row]
+                    for _ in range(rng.randint(2, 7))]
+            dots = [[ctx.dot(row, col)] for col in cols]
+            if rank_rows(ctx, dots) == 1:
+                t = sum(ctx.dot(row, col) < 0 for col in cols)
+                assert t == _oracle_deficient(ctx, dots, 1, 0)
+    # zero lines and one direction both count in many r = 2 answers
+    assert zeros_decide >= 20
+
+
+def grs_tail_spec(rng, ctx, l):
+    """A spec with k = n = l whose tail A evaluates x^0..x^(l-1) at l
+    points outside alpha (the last at infinity when 2l = q + 1), so that
+    the code is GRS and MDS: the engines then search every level, and
+    hand _largest_deficient every rank up to l - 1."""
+    pts = rng.sample(list(ctx.elements()), min(2 * l, ctx.q))
+    alpha, tail = pts[:l], pts[l:]
+    cols = [[ctx.mul(w, ctx.pow(b, r)) for r in range(l)]
+            for b, w in zip(tail, rng.choices(range(ctx.n), k=l))]
+    cols += [[ZERO] * (l - 1) + [0]] * (l - len(tail))
+    a = Matrix(ctx, [list(row) for row in zip(*cols)])
+    v = rng.choices(range(ctx.n), k=l)
+    return GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=l)
+
+
+def wide_tail_specs(fields, tails, max_length, draws, seed):
+    """``draws`` seeded specs for each field (p, m) and each shape
+    (l, k, n) with l in ``tails`` and length n + l <= max_length (and
+    l <= k <= n <= q), v and A random, A invertible; and for each l with
+    2l <= min(max_length, q + 1), one GRS spec (grs_tail_spec)."""
+    rng = random.Random(seed)
+    specs = []
+    for p, m in fields:
+        ctx = field_new(p, m)
+        for l in tails:
+            for n in range(l, min(ctx.q, max_length - l) + 1):
+                for k in range(l, n + 1):
+                    specs += [random_small_spec(rng, ctx, k, l, n)
+                              for _ in range(draws)]
+            if 2 * l <= min(max_length, ctx.q + 1):
+                specs.append(grs_tail_spec(rng, ctx, l))
+    return specs
+
+
+def wide_tail_problems(specs):
+    """The specs on which grl_min_distance, dual_min_distance or classify
+    disagrees with the column search on G or on a parity-check matrix."""
+    problems = []
+    for spec in specs:
+        g = build_generator(spec)
+        d, dd = min_distance(g), min_distance(dual_generator(g, EUCLIDEAN))
+        got = (grl_min_distance(spec), dual_min_distance(spec))
+        rep = classify(spec)
+        if got != (d, dd) or (rep.d, rep.d_dual) != (d, dd):
+            problems.append((spec.ctx.field_str(), spec.alpha, spec.v,
+                             spec.a.data, spec.k, (d, dd), got,
+                             (rep.d, rep.d_dual)))
+    return problems
+
+
+def test_wide_tails_match_column_search(monkeypatch):
+    """Tails of width 5 and 6 (length <= 13 over GF(7), GF(3^2) and
+    GF(11)): both standalone engines and classify agree with the column
+    search, and each engine hands _largest_deficient every rank from 2
+    to 5 on the way, so the direction count and the subset search for
+    r = 3..5 are all checked against the oracle."""
+    seen = {"grl_min_distance": set(), "dual_min_distance": set()}
+
+    def recording(ctx, lines, r, lo):
+        seen[sys._getframe(1).f_code.co_name].add(r)
+        return _largest_deficient(ctx, lines, r, lo)
+
+    monkeypatch.setattr(classify_mod, "_largest_deficient", recording)
+    specs = wide_tail_specs(((7, 1), (3, 2), (11, 1)), (5, 6), 13, 3, 26)
+    assert len(specs) == 3 * 35 + 3
+    assert wide_tail_problems(specs) == []
+    assert all(set(range(2, 6)) <= ranks for ranks in seen.values()), seen
 
 
 def _subset_signatures(ctx, points, s, width):
