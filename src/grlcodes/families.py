@@ -26,8 +26,10 @@ then builds the code and compares the computed hull.  The hypotheses
 read A only through whether the Gram corner k*X + sum a_1i^e vanishes,
 so a cell has two predictions, one per corner class.  audit_cell()
 audits one cell's tail matrices with one CellPoints, which makes both,
-the cell's points and the A-free part of their Gram once for all of
-them; a cell with no claim in either class draws no A.
+X, the cell's points and the A-free part of their Gram once for all of
+them.  Every audit reads the predictions and X through predict(params,
+points), the one prediction entry point, and the Gram part through
+CellPoints.hull(A).  A cell with no claim in either class draws no A.
 """
 
 from __future__ import annotations
@@ -206,27 +208,6 @@ def _shape_gap(params):
     return None
 
 
-def _block_corner(params):
-    """X = sum of gamma^(shift * unit) over the block shifts: the share of
-    the evaluation blocks in the Gram corner k*X + sum a_1i^e.  None when
-    there is no corner: k must divide q-1 (for H-families the
-    anti-diagonal regime) and the blocks must fit."""
-    q, k, l = params.q, params.k, params.l
-    if (q - 1) % k or _shape_gap(params):
-        return None
-    if not params.hermitian:
-        unit = k
-    elif params.family == "H4":
-        unit = l + (k - l) * q
-    else:
-        unit = (k - l) + l * q
-    ctx = params.ctx
-    x = ZERO
-    for shift in params.shifts:
-        x = ctx.add(x, ctx.element(shift * unit))
-    return x
-
-
 def _corner_slot(params, w):
     """Where a ladder reads the Gram corner k*X + sum a_1i^e: it keeps a
     witness slot for the corner (and for X as theta, E-families only),
@@ -320,13 +301,6 @@ def precondition_gap(params: FamilyParams):
         w["k_div_q_minus_1"] = (q - 1) % k == 0
         w["k_div_q_plus_1"] = (q + 1) % k == 0
     return _shape_gap(params), w
-
-
-def predict(params: FamilyParams) -> Prediction:
-    """Strongest theorem claim whose hypotheses all hold, with every
-    evaluated term attached as a witness; 'none' is a valid outcome.
-    It reads A only through the Gram corner (CellPoints.predict)."""
-    return CellPoints(params).predict(params)
 
 
 def _predict_class(cell, zero):
@@ -456,20 +430,17 @@ def _cell_key(p: FamilyParams):
 
 class CellPoints:
     """One cell's A-free work, shared by the audits of its tail matrices:
-    the prediction of each corner class, made when first asked for, and
-    the cell's evaluation points with the A-free part of their Gram
+    the prediction of each corner class and the blocks' share X of the
+    Gram corner, each made when first asked for, and the cell's
+    evaluation points with the A-free part of their Gram
     (hull.PointGram), made for the first A whose audit has a claim."""
 
     def __init__(self, cell: FamilyParams):
         self.cell = cell
         self._key = _cell_key(cell)
         self.gram: PointGram | None = None
-        self._x = None          # the blocks' share X of the Gram corner
+        self._x = None
         self._classes = {}      # corner class (is it zero) -> Prediction
-
-    def _check(self, params):
-        if _cell_key(params) != self._key:
-            raise GrlError("audit params are not from this cell")
 
     def prediction(self, zero: bool) -> Prediction:
         """The prediction for this cell's A whose Gram corner is zero (or
@@ -478,40 +449,65 @@ class CellPoints:
             self._classes[zero] = _predict_class(self.cell, zero)
         return self._classes[zero]
 
-    def predict(self, params: FamilyParams) -> Prediction:
-        """The prediction of params' corner class, with the corner of
-        params' A (and X as theta) in the corner slots; GrlError for
-        another cell."""
-        self._check(params)
-        pred = self.prediction(False)
-        if "corner" not in pred.witnesses:  # this cell's ladder reads no A
-            return replace(pred, witnesses=dict(pred.witnesses))
-        ctx = params.ctx
+    @property
+    def x(self) -> int:
+        """X = sum of gamma^(shift * unit) over the block shifts: the
+        blocks' share of the Gram corner k*X + sum a_1i^e.  It is that
+        share only where the cell's ladder reads a corner (its prediction
+        has a corner slot)."""
         if self._x is None:
-            self._x = _block_corner(params)
-        corner = ctx.add(ctx.mul(ctx.from_int(params.k), self._x),
-                         _row_norm_sum(ctx, params.a.data[0],
-                                       1 + params.q if params.hermitian
-                                       else 2))
-        pred = self.prediction(corner == ZERO)
-        w = dict(pred.witnesses)
-        if not params.hermitian:
-            w["theta"] = ctx.fmt(self._x)
-        w["corner"] = ctx.fmt(corner)
-        return replace(pred, witnesses=w)
+            cell = self.cell
+            q, k, l, ctx = cell.q, cell.k, cell.l, cell.ctx
+            if not cell.hermitian:
+                unit = k
+            elif cell.family == "H4":
+                unit = l + (k - l) * q
+            else:
+                unit = (k - l) + l * q
+            x = ZERO
+            for shift in cell.shifts:
+                x = ctx.add(x, ctx.element(shift * unit))
+            self._x = x
+        return self._x
 
-    def hull(self, params: FamilyParams) -> HullReport:
-        """The hull of params, this cell with some A; GrlError for
-        another cell."""
-        self._check(params)
-        inner = HERMITIAN if params.hermitian else EUCLIDEAN
+    def hull(self, a: Matrix) -> HullReport:
+        """The hull of this cell's code with tail matrix a."""
+        inner = HERMITIAN if self.cell.hermitian else EUCLIDEAN
         if self.gram is None:
-            spec = build_spec(params)
+            spec = build_spec(replace(self.cell, a=a))
             self.gram = point_gram(spec, inner)
         else:
-            spec = GrlSpec(ctx=self.gram.ctx, alpha=self.gram.alpha,
-                           v=self.gram.v, a=params.a, k=params.k)
+            ref = self.gram.spec
+            spec = GrlSpec(ctx=ref.ctx, alpha=ref.alpha, v=ref.v, a=a,
+                           k=ref.k)
         return hull_report(spec, inner, self.gram)
+
+
+def predict(params: FamilyParams,
+            points: CellPoints | None = None) -> Prediction:
+    """Strongest theorem claim whose hypotheses all hold, with every
+    evaluated term attached as a witness; 'none' is a valid outcome.  It
+    reads A only through the Gram corner: the prediction of the corner's
+    class, with the corner of params' A (and X as theta) in the corner
+    slots.  points, made for params' cell, shares the cell's A-free
+    work; GrlError if it was made for another cell."""
+    if points is None:
+        points = CellPoints(params)
+    elif _cell_key(params) != points._key:
+        raise GrlError("audit params are not from this cell")
+    pred = points.prediction(False)
+    if "corner" not in pred.witnesses:  # this cell's ladder reads no A
+        return replace(pred, witnesses=dict(pred.witnesses))
+    ctx, x = params.ctx, points.x
+    corner = ctx.add(ctx.mul(ctx.from_int(params.k), x),
+                     _row_norm_sum(ctx, params.a.data[0],
+                                   1 + params.q if params.hermitian else 2))
+    pred = points.prediction(corner == ZERO)
+    w = dict(pred.witnesses)
+    if not params.hermitian:
+        w["theta"] = ctx.fmt(x)
+    w["corner"] = ctx.fmt(corner)
+    return replace(pred, witnesses=w)
 
 
 def audit(params: FamilyParams,
@@ -520,10 +516,10 @@ def audit(params: FamilyParams,
     points, made for params' cell, shares the cell's A-free work."""
     if points is None:
         points = CellPoints(params)
-    pred = points.predict(params)
+    pred = predict(params, points)
     if pred.claim == "none":
         raise NoClaim(pred.clause)
-    computed = points.hull(params).hull_dim
+    computed = points.hull(params.a).hull_dim
     if pred.claim == "lcd":
         passed = computed == 0
     elif pred.claim == "hull_eq":
@@ -645,13 +641,12 @@ def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
         raise NoClaim(nonzero.clause)
     ctx, l = cell.ctx, cell.l
     mats = [sample_invertible(ctx, l, rng) for _ in range(samples)]
-    if 2 * l == cell.k and mats:
-        # aim for the corner-zero equality clauses as well
-        target = _corner_target(cell)
-        if target is not None:
-            extra = sample_first_row_sum(ctx, l, target, rng, cell.hermitian)
-            if extra is not None:
-                mats.append(extra)
+    if 2 * l == cell.k and mats and "corner" in nonzero.witnesses:
+        # aim for the corner-zero equality clauses as well: target -k*X
+        target = ctx.neg(ctx.mul(ctx.from_int(cell.k), points.x))
+        extra = sample_first_row_sum(ctx, l, target, rng, cell.hermitian)
+        if extra is not None:
+            mats.append(extra)
     for a in mats:
         if len(records) >= budget:
             return True
@@ -676,12 +671,3 @@ def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
         except NoClaim:
             continue
     return records, False
-
-
-def _corner_target(params):
-    """Value the first-row sum must take so the Gram corner vanishes."""
-    x = _block_corner(params)
-    if x is None:
-        return None
-    ctx = params.ctx
-    return ctx.neg(ctx.mul(ctx.from_int(params.k), x))

@@ -28,8 +28,9 @@ and hull_report adds the corner to those l rows only and takes the rank
 of the stack.  That is exact: rank(Gram) = rank(top) + rank(bottom
 reduced modulo the row space of top), and the reduced top rows span that
 row space.  A families sweep cell audits 5-6 tail matrices on one set of
-points and makes its PointGram once; hull_report refuses a PointGram made
-for other points, k, l or inner product, and makes its own without one.
+points and makes its PointGram once.  A PointGram keeps the spec it was
+made from, and hull_report reads that spec to refuse a PointGram made for
+other points, k, l or inner product; it makes its own without one.
 
 Oracles: gram multiplies a generator out, and hull_dim_bruteforce
 recomputes the hull as dim(C) + dim(C_perp) - rank of the stacked
@@ -146,16 +147,12 @@ def spec_gram(spec: GrlSpec, inner_product: str) -> Matrix:
 
 class PointGram(NamedTuple):
     """The part of the Gram that the points fix, shared by every spec with
-    the same field, alpha, v, k and l: sigma, the l bottom point rows
-    without the corner, and the top k - l rows in reduced echelon form
-    with their zero rows dropped."""
+    the same field, alpha, v, k and l as spec: sigma, the l bottom point
+    rows without the corner, and the top k - l rows in reduced echelon
+    form with their zero rows dropped."""
     inner_product: str
     sigma: int
-    ctx: FieldCtx
-    alpha: list[int]
-    v: list[int]
-    k: int
-    l: int
+    spec: GrlSpec
     top: list[list[int]]
     bottom: list[list[int]]
 
@@ -167,8 +164,7 @@ def point_gram(spec: GrlSpec, inner_product: str) -> PointGram:
     split = spec.k - spec.l
     top = rows[:split]
     del top[len(echelon(spec.ctx, top)):]
-    return PointGram(inner_product=inner_product, sigma=sigma, ctx=spec.ctx,
-                     alpha=spec.alpha, v=spec.v, k=spec.k, l=spec.l,
+    return PointGram(inner_product=inner_product, sigma=sigma, spec=spec,
                      top=top, bottom=rows[split:])
 
 
@@ -180,9 +176,10 @@ def hull_report(spec: GrlSpec, inner_product: str,
     made for other points, k, l or inner product."""
     if points is None:
         points = point_gram(spec, inner_product)
-    elif (points.inner_product != inner_product or points.ctx is not spec.ctx
-          or (points.k, points.l) != (spec.k, spec.l)
-          or points.alpha != spec.alpha or points.v != spec.v):
+    elif (points.inner_product != inner_product
+          or points.spec.ctx is not spec.ctx
+          or (points.spec.k, points.spec.l) != (spec.k, spec.l)
+          or points.spec.alpha != spec.alpha or points.spec.v != spec.v):
         raise GrlError("the point Gram was made for other points, k, l "
                        "or inner product")
     r = rank_rows(spec.ctx, points.top +

@@ -11,8 +11,9 @@ asserts the proven obstruction elsewhere:
 * Of the four Hermitian attainability sets, H1 and H3 are checked at
   hull 3; H2 is checked at hull 0 under every primitive element of
   GF(11^2), and H4 against its structure-entry bound hull <= 1.
-* The non-GRS claim is checked for k > l and n > k; A.1 and B.1(1),
-  with n = k, are checked as GRS.
+* The non-GRS claim is checked on the 31 rows with k > l and n > k;
+  A.1 and B.1(1), with n = k, are checked as GRS. It does not hold for
+  every GRL code with n > k > l (tests/test_nongrs.py has a GRS one).
 
 The evidence for the last three items is in docs/decisions.md.
 """

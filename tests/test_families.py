@@ -1,17 +1,19 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from grlcodes import gf, linalg
+from grlcodes import families, gf, linalg
 from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                HERMITIAN_FAMILIES, CellPoints, FamilyParams,
-                               NoClaim, _corner_target, audit, audit_cell,
-                               build_spec, corpus_cells, delta_conditions,
-                               diag_powers, family_ctx, make_alpha, predict,
-                               sample_first_row_sum, sample_invertible, sweep)
+                               NoClaim, audit, audit_cell, build_spec,
+                               corpus_cells, delta_conditions, diag_powers,
+                               family_ctx, make_alpha, precondition_gap,
+                               predict, sample_first_row_sum,
+                               sample_invertible, sweep)
 from grlcodes.gf import ZERO, GrlError, field_new
 from grlcodes.grl import (DistinctnessViolation, InvariantViolation,
                          build_generator)
@@ -21,6 +23,13 @@ from grlcodes.linalg import Matrix, rank
 
 def a22(ctx):
     return Matrix.from_strs(ctx, [["g^1", "g^2"], ["g^3", "g^5"]])
+
+
+def corner_target(points):
+    """-k X, the first-row sum that makes the Gram corner of the cell of
+    points vanish."""
+    ctx = points.cell.ctx
+    return ctx.neg(ctx.mul(ctx.from_int(points.cell.k), points.x))
 
 
 def test_make_alpha_e1_example_a1():
@@ -357,15 +366,15 @@ def test_corner_witness_is_the_gram_entry(family):
         ctx = family_ctx(family, q)
         p = FamilyParams(family=family, q=q, k=k, l=l,
                          a=sample_invertible(ctx, l, rng), **shifts)
-        corner = predict(p).witnesses.get("corner")
+        points = CellPoints(p)
+        corner = predict(p, points).witnesses.get("corner")
         if corner is None:
             continue
         g = gram(build_generator(build_spec(p)), inner)
         assert ctx.fmt(g.data[k - l][k - l]) == corner, (q, k, l, shifts)
         checked += 1
-        target = _corner_target(p)
-        assert target is not None, (q, k, l, shifts)
-        a = sample_first_row_sum(ctx, l, target, rng, inner == HERMITIAN)
+        a = sample_first_row_sum(ctx, l, corner_target(points), rng,
+                                 inner == HERMITIAN)
         if a is None:
             continue
         p0 = FamilyParams(family=family, q=q, k=k, l=l, a=a, **shifts)
@@ -383,6 +392,8 @@ def test_cell_points_refuse_another_cell():
     assert audit(p, points) == audit(p)
     with pytest.raises(GrlError, match="not from this cell"):
         audit(replace(p, delta=3), points)
+    with pytest.raises(GrlError, match="not from this cell"):
+        predict(replace(p, delta=3), points)
 
 
 def _first_rows_by_norm_sum(ctx, e):
@@ -415,7 +426,10 @@ def test_prediction_reads_only_the_corner_class(family):
             rows[q] = _first_rows_by_norm_sum(ctx, 1 + q if hermitian else 2)
         cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
         points = CellPoints(cell)
-        target = _corner_target(cell)  # -k X; None where there is no corner
+        # -k X; None where there is no corner: k must divide q-1 and the
+        # blocks must fit
+        corner_cell = (q - 1) % k == 0 and precondition_gap(cell)[0] is None
+        target = corner_target(points) if corner_cell else None
         for norm_sum, (a11, a12) in rows[q].items():
             first = [a11, a12] + [ZERO] * (l - 2)
             a = Matrix(ctx, [first] + [[ZERO] * l for _ in range(l - 1)])
@@ -450,7 +464,8 @@ def test_sampled_a_is_proved_invertible_once(monkeypatch):
     cell = FamilyParams(family="E1", q=81, k=4, l=2, delta=2)
     ctx, rng = cell.ctx, random.Random(3)
     mats = [sample_invertible(ctx, 2, rng),
-            sample_first_row_sum(ctx, 2, _corner_target(cell), rng, False)]
+            sample_first_row_sum(ctx, 2, corner_target(CellPoints(cell)), rng,
+                                 False)]
 
     def eliminate(*args):
         raise AssertionError("rank(A) proved a second time")
@@ -464,3 +479,32 @@ def test_sampled_a_is_proved_invertible_once(monkeypatch):
     singular = Matrix(ctx, [[0, 0], [0, 0]])
     with pytest.raises(InvariantViolation, match="A must be invertible"):
         build_spec(replace(cell, a=singular))
+
+
+@pytest.mark.parametrize("k,audits", [(5, 5), (4, 6)],
+                         ids=["narrow-tail", "half-tail"])
+def test_every_audit_predicts_through_predict(monkeypatch, k, audits):
+    # each audit attempt of a sweep cell runs the module function
+    # families.predict once, the traced name of the clause ladders, and
+    # the cell derives the blocks' share X of its Gram corner at most once
+    # (the half-width tail reads it for its aimed draw and every audit)
+    calls = Counter()
+    for name in ("predict", "audit"):
+        def counted(*args, _fn=getattr(families, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(families, name, counted)
+
+    class CountedPoints(CellPoints):
+        @property
+        def x(self):
+            calls["x"] += self._x is None
+            return CellPoints.x.fget(self)
+
+    monkeypatch.setattr(families, "CellPoints", CountedPoints)
+    cell = FamilyParams(family="E1", q=81, k=k, l=2, delta=2)
+    records = []
+    assert not audit_cell(cell, random.Random(1), 5, records, 10 ** 6)
+    assert len(records) == audits
+    assert calls == {"audit": audits, "predict": audits, "x": 1}

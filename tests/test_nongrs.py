@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grlcodes.classify import classify
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.linalg import Matrix, rank
@@ -101,6 +102,27 @@ def test_vandermonde_tail_grl_is_grs(witness):
     cert = nongrs_certificate(spec)
     assert cert.verdict == "grs"
     witness(g, cert)
+
+
+def test_grl_code_with_n_above_k_above_l_can_be_grs(witness):
+    # n > k > l does not make a GRL code non-GRS: over GF(7), the points
+    # (0, 1, g, g^2) with k = 3 and tail A = [[1, 1], [0, g^3]] give a
+    # [6, 3, 4] MDS code that is GRS on other points and multipliers
+    ctx = field_new(7)
+    alpha = [ctx.parse(s) for s in ("0", "1", "g^1", "g^2")]
+    a = Matrix.from_strs(ctx, [["1", "1"], ["0", "g^3"]])
+    spec = unit_spec(ctx, alpha, a, 3)
+    assert spec.n > spec.k > spec.l
+    cert = nongrs_certificate(spec)
+    assert cert.verdict == "grs"
+    assert cert.evidence == {
+        "points": ["g^5", "g^2", "g^4", "g^3", "0", "g^1"],
+        "v": ["g^0", "g^2", "g^3", "g^3", "g^1", "g^5"]}
+    g = build_generator(spec)
+    witness(g, cert)
+    assert exhaustive_grs_check(g)[0] == "grs"
+    rep = classify(spec)
+    assert (rep.n, rep.k, rep.d, rep.label) == (6, 3, 4, "MDS")
 
 
 def test_lower_triangular_tail_k_equals_l_exceeds_schur_bound():
