@@ -5,6 +5,12 @@ zero, and e in [0, q-2] stands for gamma^e where gamma is the fixed
 primitive element of the context.  Multiplication is exponent addition;
 addition goes through a Zech logarithm table.
 
+The modulus is the Conway polynomial C_{p,m} and gamma the class of x.
+For m >= 2 it is read from the committed table ``conway.txt`` when the
+first such field is made; the tests check every line of that table
+against the search ``_conway_search``, which for m = 1 still finds
+C_{p,1} (gamma the smallest primitive root mod p) at run time.
+
 The tables index elements by packed coefficient ids (id = sum c_i p^i in
 the polynomial basis).  They come from the permutation "times gamma" on
 the ids, built one digit column at a time for all rows at once: one walk
@@ -223,9 +229,31 @@ def _subfield_compatible(f, p, subs):
     return True
 
 
-@lru_cache(maxsize=None)
 def _conway_poly(p, m):
-    """Conway polynomial C_{p,m}, little-endian coefficients.
+    """Conway polynomial C_{p,m}, little-endian coefficients, for a field
+    ``FieldCtx`` accepts: for m >= 2 the line of the committed table
+    ``conway.txt``, and for m = 1 the search, which takes well under a
+    millisecond there (docs/decisions.md, section 10)."""
+    if m == 1:
+        return _conway_search(p, 1)
+    # each line is "p m c_0 ... c_m" and follows a newline; parse just one
+    text = _conway_text()
+    start = text.index(f"\n{p} {m} ") + 1
+    return [int(c) for c in text[start:text.index("\n", start)].split()[2:]]
+
+
+@lru_cache(maxsize=None)
+def _conway_text():
+    """The table ``conway.txt``, read when the first m >= 2 field is made."""
+    # imported here, not with gf, which every command process loads
+    from importlib import resources
+    return resources.files("grlcodes").joinpath("conway.txt").read_text()
+
+
+@lru_cache(maxsize=None)
+def _conway_search(p, m):
+    """Conway polynomial C_{p,m} by search; the oracle the table is checked
+    against, and the source of C_{p,1}.
 
     Minimal monic primitive polynomial of degree m under the standard
     ordering (coefficients twisted by alternating signs, compared from
@@ -239,12 +267,14 @@ def _conway_poly(p, m):
     the p^m words in the same order, so the first word that passes is
     the same.  A word must pass all three tests below, so their order
     cannot change the result; it is the order that measured fastest.
+    The subfield polynomials come from this search too, never from the
+    table, so the oracle stays independent of what it checks.
     """
     q = p ** m
     # GF(p) is settled by the walk; the largest subfield rejects the most
-    subs = [(d, _conway_poly(p, d))
+    subs = [(d, _conway_search(p, d))
             for d in range(m // 2, 1, -1) if m % d == 0]
-    start, step = (-_conway_poly(p, 1)[0] % p, p) if m > 1 else (0, 1)
+    start, step = (-_conway_search(p, 1)[0] % p, p) if m > 1 else (0, 1)
     for packed in range(start, q, step):
         coeffs = [0] * m + [1]
         rest = packed
@@ -308,9 +338,10 @@ class _Memo(dict):
 class FieldCtx:
     """Immutable GF(p^m) context with exp/log/Zech tables.
 
-    The modulus is the Conway polynomial C_{p,m} and gamma is the class
-    of x, which is primitive by construction.  That pins elements to the
-    convention of the standard computer-algebra systems, so element
+    The modulus is the Conway polynomial C_{p,m} (``_conway_poly``: the
+    committed table for m >= 2, the search for m = 1) and gamma is the
+    class of x, whose full order the build checks.  That pins elements to
+    the convention of the standard computer-algebra systems, so element
     tables written as powers of gamma are portable; a context is fully
     determined by (p, m).  For m = 1 this makes gamma the smallest
     primitive root mod p.

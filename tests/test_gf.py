@@ -1,15 +1,17 @@
 import hashlib
 import random
 from array import array
+from math import isqrt
 
 import pytest
 
 from grlcodes import gf
 from grlcodes.gf import (FIELD_SIZE_CAP, FILL_FLOOR, ZERO, EvenCharacteristic,
                          FieldCtx, FieldTooLarge, NotPrime, NotASquareField,
-                         _break_even, _conway_poly, _Memo, _poly_order_is,
-                         _ppowmod, _ptrim, divisor_count, field_new,
-                         field_from_str, is_prime, quadratic_character, v_p)
+                         _break_even, _conway_poly, _conway_search,
+                         _conway_text, _Memo, _poly_order_is, _ppowmod,
+                         _ptrim, divisor_count, field_new, field_from_str,
+                         is_prime, quadratic_character, v_p)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
                 (3, 2), (5, 2), (7, 2), (3, 4), (11, 2)]
@@ -362,7 +364,8 @@ CONWAY = {
     (1019, 2): [2, 1015, 1],
     (99991, 1): [99985, 1],
 }
-# above this q only the search is checked here: field_new keeps every
+# above this q no context is made here, and only the search and the
+# modulus _conway_poly hands FieldCtx are checked: field_new keeps every
 # context for the rest of the session, and the whole tables of GF(7^6),
 # GF(3^12) and GF(1019^2) hold tens of MB.  GF(7^6) is built uncached and
 # pinned above; CI pins the whole tables of the other two, which
@@ -372,6 +375,8 @@ TABLE_CHECK_MAX_Q = 10 ** 5
 
 @pytest.mark.parametrize("p,m", sorted(CONWAY))
 def test_modulus_is_the_conway_polynomial(p, m):
+    # the search is the oracle the committed table is checked against
+    assert _conway_search(p, m) == CONWAY[(p, m)]
     assert _conway_poly(p, m) == CONWAY[(p, m)]
     if p ** m > TABLE_CHECK_MAX_Q:
         return
@@ -379,6 +384,42 @@ def test_modulus_is_the_conway_polynomial(p, m):
     assert ctx.modulus == CONWAY[(p, m)]
     # gamma is the class of x and has full order: its q - 1 powers differ
     assert len(set(ctx.tables()[0])) == ctx.n
+
+
+def test_conway_table_is_complete_and_matches_the_search():
+    # one entry per odd prime p and m >= 2 with p^m <= FIELD_SIZE_CAP, each
+    # equal to the search (~0.6 s for all 223); a failure prints the lines
+    # to paste into src/grlcodes/conway.txt, as after raising the cap
+    table = {}
+    for line in _conway_text().splitlines():
+        if not line.startswith("#"):
+            p, m, *coeffs = map(int, line.split())
+            table[p, m] = coeffs
+    want = [(p, m) for p in range(3, isqrt(FIELD_SIZE_CAP) + 1, 2)
+            if is_prime(p)
+            for m in range(2, FIELD_SIZE_CAP.bit_length())
+            if p ** m <= FIELD_SIZE_CAP]
+    wrong = []
+    for p, m in want:
+        found = _conway_search(p, m)
+        if table.get((p, m)) != found or _conway_poly(p, m) != found:
+            wrong.append(" ".join(map(str, (p, m, *found))))
+    extra = sorted(set(table) - set(want))
+    assert not wrong and not extra, (
+        "conway.txt lacks or misstates:\n" + "\n".join(wrong)
+        + f"\nand holds fields FieldCtx refuses: {extra}")
+
+
+@pytest.mark.parametrize("p,m", [(3, 10), (7, 6)])
+def test_fields_are_built_without_the_search(p, m, monkeypatch):
+    # the largest cold-cli fields that build whole read their modulus from
+    # the table; the search is only the tests' oracle for m >= 2
+    def refuse(p, m):
+        raise AssertionError(f"search called for ({p}, {m})")
+    monkeypatch.setattr(gf, "_conway_search", refuse)
+    ctx = FieldCtx(p, m)
+    assert ctx.modulus == CONWAY[(p, m)]
+    assert type(ctx.zech) is list
 
 
 @pytest.mark.parametrize("p,m", [(5, 2), (3, 4), (13, 2), (3, 6)])
