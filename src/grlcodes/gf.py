@@ -22,9 +22,10 @@ list subscripts and not array subscripts.
 
 A large field, whose whole tables cost ``FILL_FLOOR`` single entries or
 more, starts with memo dicts instead: each entry is computed the first
-time it is read (gamma^e by square and multiply, a log by Pohlig-Hellman),
-and once the fills reach the count that costs as much as the whole build,
-the field builds its whole tables as above.
+time it is read, in packed-int polynomial arithmetic (gamma^e by square
+and multiply, a log by Pohlig-Hellman), and once the fills reach the
+count that costs as much as the whole build, the field builds its whole
+tables as above.
 """
 
 from __future__ import annotations
@@ -118,14 +119,16 @@ def _break_even(q: int, m: int) -> int:
     GF(q = p^m).
 
     In units of one step of the orbit walk, the build costs ~q.  A fill
-    takes one power of a degree-m polynomial (q.bit_length() products)
-    per prime power r^v || q - 1, ~5m steps a product, and the first
-    fills build a table of r^v roots of unity per prime power, ~4m steps
-    a root (calibrated in docs/decisions.md, section 7).
+    in ``_packed_arith`` takes one power of x and one descent of the tree
+    of the k prime powers r^v || q - 1, ~(k + 2) powers of q.bit_length()
+    products at ~(m + 1)/2 steps a product; for m = 1 the powers are
+    ``pow``, ~3 steps each.  The first fills build a table of r^v roots
+    of unity per prime power, ~m + 1 steps a root (calibrated in
+    docs/decisions.md, section 7).
     """
     powers = _prime_powers(q - 1)
-    roots = 4 * m * sum(powers)
-    return (q - roots) // (5 * m * q.bit_length() * len(powers))
+    power = 3 if m == 1 else (m + 1) * q.bit_length() // 2
+    return (q - (m + 1) * sum(powers)) // (power * (len(powers) + 2))
 
 
 # -- polynomial helpers over GF(p), little-endian coefficient lists --
@@ -288,6 +291,54 @@ def _conway_search(p, m):
     raise AssertionError(f"no Conway polynomial found for ({p}, {m})")
 
 
+def _packed_arith(p, m, f):
+    """Arithmetic mod the monic f of degree m over GF(p) on packed ints,
+    coefficient i in bits [i*s, (i+1)*s): s, ``reduce`` (a product, or a
+    square times x, to canonical form), ``power`` (a^e, e >= 1) and
+    ``xpower`` (x^e).  A product is one int multiply, and s is wide enough
+    that no slot carries before ``reduce`` folds in the high slots and
+    takes each slot mod p (docs/decisions.md, section 7).  For m = 1 these
+    are ``%`` and ``pow``."""
+    s = ((2 * m - 1) * (p - 1) ** 2).bit_length() + 1
+    if m == 1:
+        g = -f[0] % p
+        return s, p.__rmod__, lambda a, e: pow(a, e, p), lambda e: pow(g, e, p)
+    mask, top = (1 << s) - 1, m * s
+    low, shifts = (1 << top) - 1, range(top - s, -1, -s)
+    red, c = [], [-a % p for a in f[:m]]
+    for _ in range(m):   # c = x^(m+j) mod f, then times x
+        red.append(sum(a << i * s for i, a in enumerate(c)))
+        c = [(a - c[-1] * b) % p for a, b in zip([0] + c, f[:m])]
+
+    def reduce(t):
+        hi = t >> top
+        t &= low
+        for r in red:
+            if not hi:
+                break
+            t += (hi & mask) % p * r
+            hi >>= s
+        out = 0
+        for i in shifts:
+            out = out << s | (t >> i & mask) % p
+        return out
+
+    def power(a, e):
+        r = a
+        for bit in bin(e)[3:]:
+            r = reduce(r * r)
+            if bit == "1":
+                r = reduce(r * a)
+        return r
+
+    def xpower(e):
+        r = 1
+        for bit in bin(e)[2:]:
+            r = reduce(r * r << s if bit == "1" else r * r)
+        return r
+    return s, reduce, power, xpower
+
+
 def _times_x(f, p):
     """The map y -> x*y mod the monic f over GF(p) on packed ids (id =
     sum c_i p^i): entry y is the id of x*y.
@@ -349,15 +400,16 @@ class FieldCtx:
     ``exp`` (log -> id) and ``log`` (id -> log) are ``array('i')``, 4 bytes
     an entry; ``zech`` (e -> log(1 + gamma^e)) is a list, for the addition
     loops' faster subscripts.  A field whose whole build costs
-    ``FILL_FLOOR`` fills or more (GF(1019^2), not GF(7^6)) starts with the
-    three as ``_Memo`` dicts filled on demand, with the same values at the
-    same subscripts, and builds them whole after ``_break_even`` fills;
-    ``tables()`` returns them whole in either mode.
+    ``FILL_FLOOR`` fills or more (GF(99991), GF(7^6) and GF(1019^2), not
+    GF(3^10)) starts with the three as ``_Memo`` dicts filled on demand by
+    ``_fill``, with the same values at the same subscripts, and builds them
+    whole after ``_break_even`` fills; ``tables()`` returns them whole in
+    either mode.
     """
 
     __slots__ = ("p", "m", "q", "n", "half", "modulus",
-                 "exp", "log", "zech", "_frob_mult", "_fills_left", "_ph",
-                 "_roots")
+                 "exp", "log", "zech", "_frob_mult", "_fills_left", "_arith",
+                 "_tree", "_roots")
 
     def __init__(self, p: int, m: int = 1):
         if p == 2 or (p > 2 and p % 2 == 0):
@@ -384,15 +436,25 @@ class FieldCtx:
         if self._fills_left < FILL_FLOOR:
             self._build_tables()
             return
+        self._arith = _packed_arith(p, m, self.modulus)
+        xpower = self._arith[3]
         # no walk proves gamma primitive here, so prove it directly
-        if not _poly_order_is(self.modulus, p, self.n):
+        if xpower(self.n) != 1 or any(xpower(self.n // r) == 1
+                                      for r in prime_factors(self.n)):
             raise AssertionError("gamma does not have order q-1")
-        # Pohlig-Hellman: per prime power r^v || q - 1, its cofactor c and
-        # the CRT weight that is 1 mod r^v and 0 mod c
-        self._ph = []
+        # Pohlig-Hellman: a leaf (r^v, the CRT weight that is 1 mod r^v and
+        # 0 mod its cofactor c) per prime power r^v || q - 1, joined two
+        # smallest first into nodes (product, left, right), which keeps
+        # the exponent bits of a descent few (docs/decisions.md, section 7)
+        tree = []
         for rv in _prime_powers(self.n):
             c = self.n // rv
-            self._ph.append((rv, c, c * pow(c, -1, rv)))
+            tree.append((rv, c * pow(c, -1, rv)))
+        while len(tree) > 1:
+            tree.sort()
+            a, b = tree.pop(0), tree.pop(0)
+            tree.append((a[0] * b[0], a, b))
+        self._tree = tree[0]
         self._roots = {}
         self.exp, self.log, self.zech = (_Memo(self, t) for t in range(3))
 
@@ -405,31 +467,46 @@ class FieldCtx:
 
     def _fill(self, table: int, key: int) -> int:
         """Entry ``key`` (in range) of exp (table 0), log (1) or zech (2) of
-        a field filling on demand, computed alone: gamma^e is x^e mod the
-        modulus, and a log comes from Pohlig-Hellman, its residue mod each
-        prime power r^v || q - 1 read off a table of the r^v-th roots of
-        unity, which the first fill that needs it builds."""
-        p, n, mod, x = self.p, self.n, self.modulus, [0, 1]
+        a field filling on demand, computed alone in ``_packed_arith``:
+        gamma^e is x^e mod the modulus, and a log comes from Pohlig-Hellman,
+        y raised to (q - 1)/r^v for each prime power r^v || q - 1 by one
+        descent of ``_tree``, each residue read off a table of the r^v-th
+        roots of unity that the first fill to need it builds."""
+        p, n = self.p, self.n
+        s, reduce, power, xpower = self._arith
+        mask = (1 << s) - 1
         if table == 1:
-            f = _ptrim([key // p ** i % p for i in range(self.m)])
+            y, i = 0, 0
+            while key:
+                key, c = divmod(key, p)
+                y, i = y | c << i, i + s
         else:
-            f = _ppowmod(x, key, mod, p)
+            y = xpower(key)
             if table == 0:
-                return self._poly_to_id(f)
-            f = _ptrim([(f[0] + 1) % p] + f[1:])  # 1 + gamma^e
-        if not f:
+                key = 0
+                for i in range(self.m * s - s, -1, -s):
+                    key = key * p + (y >> i & mask)
+                return key
+            y += 1 - p if y & mask == p - 1 else 1   # 1 + gamma^e
+        if not y:
             return ZERO
-        e = 0
-        for rv, c, weight in self._ph:
+        e, todo = 0, [(y, self._tree)]
+        while todo:
+            y, node = todo.pop()
+            if len(node) == 3:   # each side gets y to the other's product
+                _, a, b = node
+                todo += (power(y, b[0]), a), (power(y, a[0]), b)
+                continue
+            rv, weight = node
             roots = self._roots.get(rv)
-            if roots is None:   # zeta^j -> j for zeta = gamma^c, of order rv
-                zeta, cur, roots = _ppowmod(x, c, mod, p), [1], {}
+            if roots is None:   # zeta^j -> j for zeta = gamma^((q-1)/rv)
+                zeta, cur, roots = xpower(n // rv), 1, {}
                 for j in range(rv):
-                    roots[self._poly_to_id(cur)] = j
-                    cur = _pmod(_pmul(cur, zeta, p), mod, p)
+                    roots[cur] = j
+                    cur = reduce(cur * zeta)
                 self._roots[rv] = roots
-            # f = gamma^L gives f^c = zeta^(L mod rv)
-            e += roots[self._poly_to_id(_ppowmod(f, c, mod, p))] * weight
+            # y = gamma^L reaches this leaf as zeta^(L mod rv)
+            e += roots[y] * weight
         return e % n
 
     # ids are packed coefficient vectors: id = sum c_i p^i

@@ -341,10 +341,12 @@ def test_family_audits_all_pass_hermitian(family, digest):
 
 def test_h1_sweep_over_the_largest_field(monkeypatch):
     # GF(1019^2) starts filling its tables on demand; this sweep reads
-    # 4,263 distinct Zech entries, so the field builds its whole tables
+    # 4,263 distinct Zech entries, fewer than the field's break-even count
+    # (4,936), so a count of 1,000 makes the field build its whole tables
     # part way through, and the records must not notice.  A fresh field
     # cache keeps the tens of MB from outliving the test.
     monkeypatch.setattr(gf, "_CTX_CACHE", {})
+    monkeypatch.setattr(gf, "_break_even", lambda q, m: 1000)
     recs, _ = sweep("H1", qs=(1019,), samples=1, seed=0)
     assert len(recs) == 48
     assert _records_sha256(recs) == (

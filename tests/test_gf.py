@@ -9,9 +9,10 @@ from grlcodes import gf
 from grlcodes.gf import (FIELD_SIZE_CAP, FILL_FLOOR, ZERO, EvenCharacteristic,
                          FieldCtx, FieldTooLarge, NotPrime, NotASquareField,
                          _break_even, _conway_poly, _conway_search,
-                         _conway_text, _Memo, _poly_order_is, _ppowmod,
-                         _ptrim, divisor_count, field_new, field_from_str,
-                         is_prime, quadratic_character, v_p)
+                         _conway_text, _Memo, _packed_arith, _pmod, _pmul,
+                         _poly_order_is, _ppowmod, _ptrim, divisor_count,
+                         field_new, field_from_str, is_prime,
+                         quadratic_character, v_p)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
                 (3, 2), (5, 2), (7, 2), (3, 4), (11, 2)]
@@ -118,15 +119,17 @@ def test_table_storage():
 def test_tables_match_polynomial_powers(p, m):
     # oracle: gamma^e is x^e mod the modulus in coefficient-list arithmetic,
     # which does not use the times-gamma orbit that builds the tables; 331
-    # is prime and divides none of the pinned fields' q - 1
+    # is prime and divides none of the pinned fields' q - 1.  tables()
+    # gives the walk's tables also for a field that starts on demand
     ctx = FieldCtx(p, m)
+    exp, log, zech = ctx.tables()
     step = 1 if ctx.q < 1000 else 37 if ctx.q < 20000 else 331
     for e in range(0, ctx.n, step):
         f = _ppowmod([0, 1], e, ctx.modulus, p)
-        assert ctx.exp[e] == _packed(f, p)
-        assert ctx.log[ctx.exp[e]] == e
+        assert exp[e] == _packed(f, p)
+        assert log[exp[e]] == e
         one_plus = _ptrim([((f[0] if f else 0) + 1) % p] + f[1:])
-        z = ctx.zech[e]
+        z = zech[e]
         if one_plus:
             assert z >= 0 and _ppowmod([0, 1], z, ctx.modulus, p) == one_plus
         else:
@@ -175,13 +178,35 @@ def test_fills_match_the_walk(p, m, monkeypatch):
         ctx.exp[-1]
 
 
-def test_fills_match_polynomial_powers_on_the_largest_field():
-    # GF(1019^2) starts on demand; 700 seeded exponents check 2,100 fills
-    # against x^e in coefficient-list arithmetic, as
-    # test_tables_match_polynomial_powers checks the walk
-    ctx = FieldCtx(1019, 2)
+def fill_sample_mismatches(p, m, size=2000):
+    """The (table, key) pairs of a seeded sample of ``size`` exp, Zech and
+    log entries where an uncached GF(p^m), forced to fill on demand,
+    differs from the walk's whole tables."""
+    exp, log, zech = FieldCtx(p, m).tables()
+    with pytest.MonkeyPatch.context() as mp:
+        ctx = _on_demand(mp, p, m)
+    rng = random.Random(p ** m)
+    keys = [(t, k) for k in rng.sample(range(ctx.n), size) for t in (0, 2)]
+    keys += [(1, k) for k in rng.sample(range(ctx.q), size)]
+    tables = (exp, log, zech)
+    return [(t, k) for t, k in keys if ctx._fill(t, k) != tables[t][k]]
+
+
+@pytest.mark.parametrize("p,m", [(13, 4), (3, 10), (7, 6), (99991, 1)])
+def test_fill_samples_match_the_walk(p, m):
+    # the cold-cli report fields below 10^6 elements; CI runs the same
+    # check on GF(3^12) and GF(1048573)
+    assert fill_sample_mismatches(p, m) == []
+
+
+@pytest.mark.parametrize("p,m", [(1019, 2), (7, 6), (99991, 1)])
+def test_fills_match_polynomial_powers_on_the_largest_field(p, m):
+    # the cold-cli report fields that start on demand; 700 seeded
+    # exponents check 2,100 fills against x^e in coefficient-list
+    # arithmetic, as test_tables_match_polynomial_powers checks the walk
+    ctx = FieldCtx(p, m)
     assert type(ctx.zech) is _Memo
-    p, rng = ctx.p, random.Random(1019)
+    rng = random.Random(p)
     for e in rng.sample(range(ctx.n), 700):
         f = _ppowmod([0, 1], e, ctx.modulus, p)
         assert ctx._fill(0, e) == _packed(f, p)
@@ -193,6 +218,30 @@ def test_fills_match_polynomial_powers_on_the_largest_field():
         else:
             assert z == ZERO
     assert type(ctx.zech) is _Memo   # _fill alone never promotes
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (1048573, 1), (3, 2), (1019, 2),
+                                 (101, 3), (13, 4), (7, 6), (3, 10), (3, 12)])
+def test_packed_arith_matches_the_list_helpers(p, m):
+    # the coefficient-list helpers are the oracle: seeded products, powers
+    # and powers of x agree, and all-(p - 1) operands fill the widest slots
+    # (p = 1019, m = 2 and p = 1048573, m = 1 have the widest of all)
+    f = _conway_poly(p, m)
+    s, reduce, power, xpower = _packed_arith(p, m, f)
+
+    def pack(g):
+        return sum(c << i * s for i, c in enumerate(g))
+    rng = random.Random(p * m)
+    full = [p - 1] * m
+    for i in range(150):
+        a = full if i == 0 else [rng.randrange(p) for _ in range(m)]
+        b = full if i < 2 else [rng.randrange(p) for _ in range(m)]
+        e = (1 << (p ** m).bit_length()) - 1 if i == 0 else rng.randrange(
+            1, p ** m)
+        product = _pmod(_pmul(_ptrim(a[:]), _ptrim(b[:]), p), f, p)
+        assert reduce(pack(a) * pack(b)) == pack(product)
+        assert power(pack(a), e) == pack(_ppowmod(_ptrim(a[:]), e, f, p))
+        assert xpower(e) == pack(_ppowmod([0, 1], e, f, p))
 
 
 def test_promotion_at_the_break_even_count(monkeypatch):
@@ -216,16 +265,34 @@ def test_promotion_at_the_break_even_count(monkeypatch):
 
 
 def test_which_fields_fill_on_demand():
-    # the large cold-cli report field fills on demand; the other report
-    # fields, GF(3^12) and every field up to 40,000 elements build whole
-    # when made, as do the sweep and distance fields (q <= 729)
+    # of the cold-cli report fields, GF(99991), GF(7^6) and GF(1019^2)
+    # fill on demand and GF(13^4) and GF(3^10) build whole when made; the
+    # first fields to start on demand are the prime 3,457, the square
+    # 193^2, the cube 37^3 and the fourth power 17^4
     def starts_on_demand(p, m):
         return _break_even(p ** m, m) >= FILL_FLOOR
-    assert starts_on_demand(1019, 2) and starts_on_demand(101, 3)
-    assert not any(starts_on_demand(p, m) for p, m in
-                   [(13, 4), (3, 10), (7, 6), (99991, 1), (3, 12)])
-    assert not any(starts_on_demand(p, m) for p in range(3, 40000, 2)
-                   if is_prime(p) for m in range(1, 11) if p ** m < 40000)
+    assert all(starts_on_demand(p, m) for p, m in
+               [(99991, 1), (7, 6), (1019, 2), (3, 12), (101, 3)])
+    assert not any(starts_on_demand(p, m) for p, m in [(13, 4), (3, 10)])
+    primes = [p for p in range(3, 3458, 2) if is_prime(p)]
+    for m, first in [(1, 3457), (2, 193), (3, 37), (4, 17)]:
+        assert starts_on_demand(first, m)
+        assert not any(starts_on_demand(p, m) for p in primes if p < first)
+    assert not any(starts_on_demand(p, m) for p in primes for m in
+                   range(1, 12) if p ** m < 3457)
+
+
+def test_sweep_distance_and_appendix_fields_build_whole():
+    # the fields the sweep corpus, the distance batch (q <= 169) and the
+    # appendix rows work over are all built whole when made
+    from grlcodes.appendix import load_rows
+    from grlcodes.families import FAMILIES, corpus_cells, family_ctx
+    ctxs = [family_ctx(f, q) for f in FAMILIES
+            for q in {q for q, *_ in corpus_cells(f)}]
+    ctxs += [field_new(p, m) for p, m in [(5, 2), (7, 2), (3, 4), (11, 2),
+                                          (13, 2)]]
+    ctxs += [row.spec.ctx for row in load_rows("all")]
+    assert ctxs and all(type(ctx.zech) is list for ctx in ctxs)
 
 
 @pytest.mark.parametrize("p,modulus", [
@@ -412,14 +479,15 @@ def test_conway_table_is_complete_and_matches_the_search():
 
 @pytest.mark.parametrize("p,m", [(3, 10), (7, 6)])
 def test_fields_are_built_without_the_search(p, m, monkeypatch):
-    # the largest cold-cli fields that build whole read their modulus from
-    # the table; the search is only the tests' oracle for m >= 2
+    # GF(3^10) builds whole when made and GF(7^6) fills on demand; both
+    # read their modulus from the table and build their whole tables
+    # without the search, which is only the tests' oracle for m >= 2
     def refuse(p, m):
         raise AssertionError(f"search called for ({p}, {m})")
     monkeypatch.setattr(gf, "_conway_search", refuse)
     ctx = FieldCtx(p, m)
     assert ctx.modulus == CONWAY[(p, m)]
-    assert type(ctx.zech) is list
+    assert type(ctx.tables()[2]) is list
 
 
 @pytest.mark.parametrize("p,m", [(5, 2), (3, 4), (13, 2), (3, 6)])
