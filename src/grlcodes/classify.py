@@ -20,7 +20,12 @@ decided by counting, with no elimination: lines of rank 1 are scalars,
 and a set has rank 0 when all of them are zero, so the answer is the
 number of zero scalars; a set of rank below 2 lies in one direction, so
 the answer is the zero lines plus the largest class of proportional
-lines.  Only r >= 3 ranks subsets (_largest_deficient).
+lines.  Only r >= 3 ranks subsets (_largest_deficient).  A rank-1 level
+(d at k-1, d-dual at k-l+1) is first decided by lookup: at most l
+signatures give l-1 zero scalars, each solved for from A, so the engine
+looks them up in the level and scans it only when none is there and the
+level can still improve on best, up to the first signature that reaches
+the lowered cap.
 
 classify runs one DP per spec: it hands one level source (_Levels) to
 both engines, so d builds levels 1..k-1 and d-dual reads the ones d kept,
@@ -268,6 +273,45 @@ def _largest_deficient(ctx, lines, r, lo):
     return 0
 
 
+def _inverse_rows(ctx, a):
+    """The rows of A^-1, from the reduced echelon form of [A | I]."""
+    l = a.rows
+    aug = [row + [0 if u == i else ZERO for u in range(l)]
+           for i, row in enumerate(a.data)]
+    echelon(ctx, aug)
+    return [row[l:] for row in aug]
+
+
+def _rank_one_root_targets(ctx, a):
+    """The signatures s_1..s_{l-1} whose row (s_{l-1}, ..., s_1, 1) is
+    orthogonal to all columns of A but one, u0: the rows orthogonal to
+    those columns are the multiples of row u0 of A^-1, and one of them
+    ends in 1 iff that row's last entry, a cofactor of A over det A, is
+    nonzero, that is iff the minor of A on rows 0..l-2 and the columns
+    other than u0 is invertible."""
+    n = ctx.n
+    for w in _inverse_rows(ctx, a):
+        last = w[-1]
+        if last >= 0:
+            yield tuple(x if x < 0 else (x - last) % n for x in w[-2::-1])
+
+
+def _rank_one_evaluation_targets(ctx, a):
+    """The signatures s_1..s_{l-1} of -E whose h = (h_0..h_{l-1})(E) makes
+    A^-1 h zero in all entries but one, u0: h = A_u0 / A[0][u0], which
+    needs A[0][u0] != 0.  s = 1/h mod x^l, by Newton's recurrence with s
+    and h swapped: s_j = -(h_1 s_{j-1} + ... + h_j s_0)."""
+    n = ctx.n
+    for col in zip(*a.data):
+        top = col[0]
+        if top >= 0:
+            h = [x if x < 0 else (x - top) % n for x in col]
+            s = [0]
+            for j in range(1, len(h)):
+                s.append(ctx.neg(ctx.dot(h[1:j + 1], s[::-1])))
+            yield tuple(s[1:])
+
+
 def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
                      levels: _Levels | None = None) -> int:
     """Exact minimum distance: length minus the most zeros of a nonzero word.
@@ -293,8 +337,13 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
 
     At level k-1 (km = 1) C A is one row, row . A with row = the
     signature reversed and then 1, so the tail zeros of a word are the
-    zero entries of that row: a count of zero dot products.  Levels with
-    km >= 2 go to _largest_deficient.
+    zero entries of that row: a count of zero dot products.  Before that
+    level is scanned, the at most l signatures that would give l-1 zeros
+    (_rank_one_root_targets) are looked up in it.  If one is there, d is
+    length - (k + l - 2), the most zeros any level allows.  If none is, the level
+    reaches at most k + l - 3: it is skipped when best already meets
+    that (always so for l = 2), and otherwise scanned only until a
+    signature reaches it.  Levels with km >= 2 go to _largest_deficient.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     if not _levels_fit(n, ctx.q, l - 1, k - 1, budget):
@@ -306,8 +355,15 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     for m in range(k - 1, k - l, -1):
         if m + l - 1 <= best:
             break
-        km = k - m
-        for sig in levels[m]:
+        km, level, cap = k - m, levels[m], m + l - 1
+        if km == 1:
+            targets = _rank_one_root_targets(ctx, spec.a)
+            if any(sig in level for sig in targets):
+                return spec.length - cap
+            cap -= 1
+            if cap <= best:
+                continue
+        for sig in level:
             if km == 1:
                 row = sig[::-1] + (0,)
                 t = sum(ctx.dot(row, acol) < 0 for acol in acols)
@@ -319,7 +375,7 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
                 t = _largest_deficient(ctx, cols, km, best - m + 1)
             if m + t > best:
                 best = m + t
-                if best == m + l - 1:
+                if best == cap:
                     break
     return spec.length - best
 
@@ -347,24 +403,33 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
 
     At e = k-l+1 (c = 1) K is one column, A^-1 h, and the rows outside T
     have rank 0 iff all of them are zero, so the largest row set is the
-    number of zero entries of A^-1 h.  Levels with c >= 2 go to
-    _largest_deficient.
+    number of zero entries of A^-1 h.  Before that level is scanned, the
+    at most l signatures that would give l-1 zeros
+    (_rank_one_evaluation_targets) are looked up in it.  If one is
+    there, d-dual is k - l + 2, the least weight any level allows.  If none is,
+    the level gives at least k - l + 3: it is skipped when best already
+    meets that (always so for l = 2), and otherwise scanned only until a
+    signature reaches it.  Levels with c >= 2 go to _largest_deficient.
     """
     ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
     if levels is None:
         levels = _Levels(spec)
-    aug = [row + [0 if u == i else ZERO for u in range(l)]
-           for i, row in enumerate(spec.a.data)]
-    echelon(ctx, aug)
-    ainv = [row[l:] for row in aug]
+    ainv = _inverse_rows(ctx, spec.a)
     best = k + 1
     for e in range(k - l + 1, k):
         if e + 1 >= best:
             break
         if not _levels_fit(n, ctx.q, l - 1, e, budget):
             raise BudgetExceeded(e + 1, budget)
-        c = e - k + l
-        for sig in levels[e]:
+        c, level, floor = e - k + l, levels[e], e + 1
+        if c == 1:
+            targets = _rank_one_evaluation_targets(ctx, spec.a)
+            if any(sig in level for sig in targets):
+                return floor
+            floor += 1
+            if best <= floor:
+                continue
+        for sig in level:
             s = (0,) + sig
             h = [0]
             for j in range(1, l):
@@ -377,7 +442,7 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
                 t = _largest_deficient(ctx, rows, c, l - best + e + 1)
             if e + l - t < best:
                 best = e + l - t
-                if best == e + 1:
+                if best == floor:
                     break
     return best
 

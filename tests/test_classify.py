@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from grlcodes import classify as classify_mod, linalg
 from grlcodes.appendix import load_rows
 from grlcodes.classify import (BudgetExceeded, TooLarge, _extend,
-                               _largest_deficient, classify,
+                               _largest_deficient, _Levels,
+                               _rank_one_evaluation_targets,
+                               _rank_one_root_targets, classify,
                                dual_min_distance, enum_min_distance,
                                grl_min_distance, min_distance)
-from grlcodes.gf import ZERO, field_new
+from grlcodes.gf import ZERO, FieldCtx, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import EUCLIDEAN, dual_generator
 from grlcodes.linalg import Matrix, rank, rank_rows
@@ -323,6 +325,191 @@ def test_wide_tails_match_column_search(monkeypatch):
     assert len(specs) == 3 * 35 + 3
     assert wide_tail_problems(specs) == []
     assert all(set(range(2, 6)) <= ranks for ranks in seen.values()), seen
+
+
+class _CountedLevel(dict):
+    """A copy of a signature level that counts, in ``counts[s]``, the
+    signatures read from it one at a time; a lookup (``in``) is not
+    counted."""
+
+    def __init__(self, level, counts, s):
+        super().__init__(level)
+        self.counts, self.s = counts, s
+
+    def __iter__(self):
+        for sig in super().__iter__():
+            self.counts[self.s] = self.counts.get(self.s, 0) + 1
+            yield sig
+
+
+class _IterationCounts(_Levels):
+    """A level source whose levels count the signatures an engine
+    iterates, per level, in ``counts``."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.counts = {}
+
+    def __getitem__(self, s):
+        return _CountedLevel(super().__getitem__(s), self.counts, s)
+
+
+def _tail_zeros(ctx, a, sig):
+    """The tail zeros of level k-1 at a signature: the zero entries of
+    row . A with row = (s_{l-1}, ..., s_1, 1)."""
+    row = sig[::-1] + (0,)
+    return sum(ctx.dot(row, a.col(u)) < 0 for u in range(a.rows))
+
+
+def test_rank_one_levels_are_decided_by_lookup(monkeypatch,
+                                               appendix_results):
+    """On every l = 2 appendix row neither engine reads its rank-1 level
+    (d at k - 1, d-dual at k - l + 1) one signature at a time: each makes
+    at most l^2 FieldCtx.dot calls, where a scan makes l per signature.
+    On the five B.4 l = 3 rows, whose level k - 1 holds no signature with
+    two tail zeros, d reads that level up to its first signature with one
+    tail zero and reads no other level."""
+    dots = []
+    dot = FieldCtx.dot
+
+    def counting_dot(self, xs, ys):
+        dots.append(1)
+        return dot(self, xs, ys)
+
+    b4_first = {}
+    for row in load_rows("all"):
+        spec = row.spec
+        if row.id.startswith("B.4") and spec.l == 3:
+            level = _Levels(spec)[spec.k - 1]
+            zeros = [_tail_zeros(spec.ctx, spec.a, sig) for sig in level]
+            assert max(zeros) == 1, row.id
+            b4_first[row.id] = zeros.index(1) + 1
+            assert b4_first[row.id] < len(level), row.id
+    assert len(b4_first) == 5
+
+    monkeypatch.setattr(FieldCtx, "dot", counting_dot)
+    l2_rows = 0
+    for row in load_rows("all"):
+        spec, expect = row.spec, appendix_results[row.id].report
+        k, l = spec.k, spec.l
+        for engine, answer, rank_one in (
+                (grl_min_distance, expect.d, k - 1),
+                (dual_min_distance, expect.d_dual, k - l + 1)):
+            levels = _IterationCounts(spec)
+            dots.clear()
+            assert engine(spec, levels=levels) == answer, row.id
+            if l == 2:
+                assert rank_one not in levels.counts, (row.id, engine)
+                assert len(dots) <= l * l, (row.id, engine)
+            elif engine is grl_min_distance and row.id in b4_first:
+                assert levels.counts == {k - 1: b4_first[row.id]}, row.id
+        l2_rows += l == 2
+    assert l2_rows == 23
+
+
+def _rank_one_signatures(ctx, a):
+    """By trying every signature s_1..s_{l-1} over the field: those whose
+    row (s_{l-1}, ..., s_1, 1) . A has l - 1 zeros (d), and those whose
+    complete symmetric functions h (Newton's recurrence from s) lie on a
+    column of A, which makes A^-1 h zero but for one entry (d-dual)."""
+    l = a.rows
+    acols = [a.col(u) for u in range(l)]
+    roots, evaluations = set(), set()
+    for sig in product(list(ctx.elements()), repeat=l - 1):
+        if _tail_zeros(ctx, a, sig) == l - 1:
+            roots.add(sig)
+        s, h = (0,) + sig, [0]
+        for j in range(1, l):
+            h.append(ctx.neg(ctx.dot(s[1:j + 1], h[::-1])))
+        if any(all(ctx.mul(col[0], x) == ctx.mul(c, h[0])
+                   for x, c in zip(h, col)) for col in acols):
+            evaluations.add(sig)
+    return roots, evaluations
+
+
+def every_invertible(ctx, l):
+    """Every A in GL_l(q), as a Matrix."""
+    els = list(ctx.elements())
+    for entries in product(els, repeat=l * l):
+        a = Matrix(ctx, [list(entries[i:i + l])
+                         for i in range(0, l * l, l)])
+        if rank(a) == l:
+            yield a
+
+
+def every_invertible_specs(p, m, alpha, k, l):
+    """One spec per A in GL_l(p^m), on the fixed points ``alpha`` (ints,
+    read by FieldCtx.from_int) with v all ones."""
+    ctx = field_new(p, m)
+    points = [ctx.from_int(x) for x in alpha]
+    ones = [ctx.one()] * len(points)
+    return [GrlSpec(ctx=ctx, alpha=points, v=ones, a=a, k=k)
+            for a in every_invertible(ctx, l)]
+
+
+def sparse_tail_specs(fields, tails, draws, seed):
+    """``draws`` seeded specs per field (p, m), tail width l in ``tails``
+    and shape of A: monomial (a permutation matrix with nonzero scales),
+    upper triangular and lower triangular (nonzero diagonal, other
+    entries anything).  Their zeros leave many rank-1 targets unsolvable:
+    a monomial A makes l - 1 of the d minors singular, and a lower
+    triangular one has A[0][u0] = 0 for every u0 >= 1."""
+    rng = random.Random(seed)
+    specs = []
+    for p, m in fields:
+        ctx = field_new(p, m)
+        els, nonzero = list(ctx.elements()), list(ctx.nonzero_elements())
+        for l in tails:
+            for shape in ("monomial", "upper", "lower"):
+                for _ in range(draws):
+                    perm = rng.sample(range(l), l)
+                    rows = []
+                    for i in range(l):
+                        if shape == "monomial":
+                            rows.append([rng.choice(nonzero) if u == perm[i]
+                                         else ZERO for u in range(l)])
+                        else:
+                            free = range(i + 1, l) if shape == "upper" \
+                                else range(i)
+                            rows.append([rng.choice(nonzero) if u == i
+                                         else rng.choice(els) if u in free
+                                         else ZERO for u in range(l)])
+                    n = rng.randint(l, ctx.q)
+                    specs.append(GrlSpec(
+                        ctx=ctx, alpha=rng.sample(els, n),
+                        v=[rng.choice(nonzero) for _ in range(n)],
+                        a=Matrix(ctx, rows), k=rng.randint(l, n)))
+    return specs
+
+
+def test_rank_one_lookups_without_a_target():
+    """The rank-1 lookups where a target does not exist: a singular
+    (l - 1)-minor of A for d, A[0][u0] = 0 for d-dual.  Every A in
+    GL_2(5) on one point set, and seeded monomial and triangular A with
+    l = 3..5 over GF(7) and GF(3^2): the targets are exactly the
+    signatures that give l - 1 zeros (every signature tried, for l <= 4),
+    and both engines and classify agree with the column search on G and
+    on a parity-check matrix (wide_tail_problems).  In both sets, each
+    engine's lookup both finds a target in its level and finds none."""
+    gl2 = every_invertible_specs(5, 1, [0, 1, 3], 2, 2)
+    assert len(gl2) == 480
+    sparse = sparse_tail_specs(((7, 1), (3, 2)), (3, 4, 5), 4, 32)
+    for specs in (gl2, sparse):
+        missing, found = [0, 0], [0, 0]
+        for spec in specs:
+            ctx, a, k, l = spec.ctx, spec.a, spec.k, spec.l
+            roots = set(_rank_one_root_targets(ctx, a))
+            evaluations = set(_rank_one_evaluation_targets(ctx, a))
+            if l <= 4:
+                assert (roots, evaluations) == _rank_one_signatures(ctx, a)
+            levels = _Levels(spec)
+            for i, (targets, s) in enumerate(((roots, k - 1),
+                                              (evaluations, k - l + 1))):
+                missing[i] += len(targets) < l
+                found[i] += not targets.isdisjoint(levels[s])
+        assert min(missing) >= len(specs) // 4, missing
+        assert 0 < min(found) and max(found) < len(specs), found
+        assert wide_tail_problems(specs) == []
 
 
 def _subset_signatures(ctx, points, s, width):
