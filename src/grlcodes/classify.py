@@ -22,15 +22,18 @@ number of zero scalars; a set of rank below 2 lies in one direction, so
 the answer is the zero lines plus the largest class of proportional
 lines.  Only r >= 3 ranks subsets (_largest_deficient).  A rank-1 level
 (d at k-1, d-dual at k-l+1) is first decided by lookup: at most l
-signatures give l-1 zero scalars, each solved for from A, so the engine
-looks them up in the level and scans it only when none is there and the
+signatures give l-1 zero scalars, each solved for from A, and
+_Levels.holds finds whether the level holds one by reading the level
+below it.  The engine scans the level only when none is there and the
 level can still improve on best, up to the first signature that reaches
 the lowered cap.
 
 classify runs one DP per spec: it hands one level source (_Levels) to
-both engines, so d builds levels 1..k-1 and d-dual reads the ones d kept,
-the same dicts in the same order.  It skips the d-dual search for an MDS
-code, whose dual is MDS.
+both engines, so each level is built once, and only when a scan or a
+lookup one level up reads it.  d builds levels 1..k-2 for its lookup
+and level k-1 only if it scans it, never for l = 2; d-dual reads the
+levels d kept, the same dicts in the same order.  It skips the d-dual
+search for an MDS code, whose dual is MDS.
 
 Oracles:
 
@@ -181,31 +184,34 @@ def _extend(ctx, level, points):
     is an s-subset plus its last point, which lies past that subset's last
     index and so past the least one of its signature.  Points are visited
     in order, so the first index that reaches a signature is the least,
-    and each level lists its entries in order of that index."""
+    and each level lists its entries in order of that index.  ``ready``
+    collects the entries whose least last index lies below the current
+    point, once each; a zero point leaves every signature as it is."""
     n, zech = ctx.n, ctx.zech
     sigs, lasts = list(level), list(level.values())
-    nxt = {}
-    ready = 0
+    nxt, ready, r = {}, [], 0
     for j, a in enumerate(points):
-        while ready < len(lasts) and lasts[ready] < j:
-            ready += 1
-        for i in range(ready):
-            sig = sigs[i]
-            if a >= 0:
-                out, prev = [], 0
-                for x in sig:
-                    if prev >= 0:
-                        t = (a + prev) % n
-                        if x < 0:
-                            y = t
-                        else:
-                            z = zech[(t - x) % n]
-                            y = ZERO if z < 0 else (x + z) % n
-                    else:
-                        y = x
-                    out.append(y)
-                    prev = x
-                sig = tuple(out)
+        while r < len(lasts) and lasts[r] < j:
+            ready.append(sigs[r])
+            r += 1
+        if a < 0:
+            for sig in ready:
+                if sig not in nxt:
+                    nxt[sig] = j
+            continue
+        for sig in ready:
+            out, prev = [], 0
+            for x in sig:
+                if prev < 0:
+                    y = x
+                elif x < 0:
+                    y = (a + prev) % n
+                else:
+                    z = zech[(a + prev - x) % n]
+                    y = ZERO if z < 0 else (x + z) % n
+                out.append(y)
+                prev = x
+            sig = tuple(out)
             if sig not in nxt:
                 nxt[sig] = j
     return nxt
@@ -228,22 +234,47 @@ def _levels_fit(n, q, width, s, budget):
 class _Levels:
     """The signature levels of -alpha, width l-1, for one spec: level s is
     built, by ``_extend`` from level s-1, when a level at or past s is
-    first read.  The levels from k-l+1 on, the only ones either engine
-    searches, are kept; the lower ones are dropped once extended."""
+    first read.  The levels from k-l on are kept (level k-l is where
+    d-dual's lookup reads; level 0, the start, when k = l); the lower
+    ones are dropped once extended.  ``holds`` answers a rank-1 lookup
+    from the level below, so a level is built only when a scan reads it:
+    for l = 2 level k-1 is never built."""
 
     def __init__(self, spec):
-        self.ctx, self.first = spec.ctx, spec.k - spec.l + 1
+        self.ctx, self.low = spec.ctx, spec.k - spec.l
         self.neg = [spec.ctx.neg(a) for a in spec.alpha]
         self.top, self.built = {(ZERO,) * (spec.l - 1): -1}, 0
-        self.kept = {}
+        self.kept = {0: self.top} if self.low == 0 else {}
 
     def __getitem__(self, s):
         while self.built < s:
             self.top = _extend(self.ctx, self.top, self.neg)
             self.built += 1
-            if self.built >= self.first:
+            if self.built >= self.low:
                 self.kept[self.built] = self.top
         return self.kept[s]
+
+    def holds(self, s, targets):
+        """Whether level s holds any of ``targets``, read from level s-1.
+        An s-subset's signature is its last point's factor (1 + a_j x)
+        times the signature of the rest, whose last index is below j.  So
+        sig is in level s iff for some point j, sig / (1 + a_j x) mod x^l
+        is in level s-1 with a least last index below j.  Peeling a_j off
+        is e'_i = e_i - a_j e'_{i-1} with e'_0 = 1; a zero point's step
+        is the identity."""
+        ctx, below = self.ctx, self[s - 1]
+        for sig in targets:
+            for j, a in enumerate(self.neg):
+                rest = sig
+                if a >= 0:
+                    out, prev = [], 0
+                    for x in sig:
+                        prev = ctx.sub(x, ctx.mul(a, prev))
+                        out.append(prev)
+                    rest = tuple(out)
+                if below.get(rest, j) < j:
+                    return True
+        return False
 
 
 def _largest_deficient(ctx, lines, r, lo):
@@ -332,14 +363,15 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     once per signature e_1..e_{l-1}(-R), not once per root set: with
     s[j] = e_j(-R), row i of C A is row l-km+i of T A, T[p][j] = s[p-j].
     The budget charges the signature levels 1..k-1 before any is built.
-    The levels come from ``levels`` (its own when None); the first one
-    read, k-1, builds them all.
+    The levels come from ``levels`` (its own when None); the lookup at
+    k-1 reads level k-2, and level k-1 is built only if it is scanned.
 
     At level k-1 (km = 1) C A is one row, row . A with row = the
     signature reversed and then 1, so the tail zeros of a word are the
     zero entries of that row: a count of zero dot products.  Before that
     level is scanned, the at most l signatures that would give l-1 zeros
-    (_rank_one_root_targets) are looked up in it.  If one is there, d is
+    (_rank_one_root_targets) are looked up in it, from level k-2
+    (_Levels.holds).  If one is there, d is
     length - (k + l - 2), the most zeros any level allows.  If none is, the level
     reaches at most k + l - 3: it is skipped when best already meets
     that (always so for l = 2), and otherwise scanned only until a
@@ -355,15 +387,14 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     for m in range(k - 1, k - l, -1):
         if m + l - 1 <= best:
             break
-        km, level, cap = k - m, levels[m], m + l - 1
+        km, cap = k - m, m + l - 1
         if km == 1:
-            targets = _rank_one_root_targets(ctx, spec.a)
-            if any(sig in level for sig in targets):
+            if levels.holds(m, _rank_one_root_targets(ctx, spec.a)):
                 return spec.length - cap
             cap -= 1
             if cap <= best:
                 continue
-        for sig in level:
+        for sig in levels[m]:
             if km == 1:
                 row = sig[::-1] + (0,)
                 t = sum(ctx.dot(row, acol) < 0 for acol in acols)
@@ -399,13 +430,14 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     once per signature of -E, and stops once e + 1 reaches the best.  The
     budget charges signature level e before it is read; the levels come
     from ``levels`` (its own when None), and a source that d has read
-    holds levels k-l+1..k-1 already, so none is built again.
+    holds level k-l and every level d built, so none is built again.
 
     At e = k-l+1 (c = 1) K is one column, A^-1 h, and the rows outside T
     have rank 0 iff all of them are zero, so the largest row set is the
     number of zero entries of A^-1 h.  Before that level is scanned, the
     at most l signatures that would give l-1 zeros
-    (_rank_one_evaluation_targets) are looked up in it.  If one is
+    (_rank_one_evaluation_targets) are looked up in it, from level k-l
+    (_Levels.holds).  If one is
     there, d-dual is k - l + 2, the least weight any level allows.  If none is,
     the level gives at least k - l + 3: it is skipped when best already
     meets that (always so for l = 2), and otherwise scanned only until a
@@ -421,15 +453,14 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
             break
         if not _levels_fit(n, ctx.q, l - 1, e, budget):
             raise BudgetExceeded(e + 1, budget)
-        c, level, floor = e - k + l, levels[e], e + 1
+        c, floor = e - k + l, e + 1
         if c == 1:
-            targets = _rank_one_evaluation_targets(ctx, spec.a)
-            if any(sig in level for sig in targets):
+            if levels.holds(e, _rank_one_evaluation_targets(ctx, spec.a)):
                 return floor
             floor += 1
             if best <= floor:
                 continue
-        for sig in level:
+        for sig in levels[e]:
             s = (0,) + sig
             h = [0]
             for j in range(1, l):
@@ -499,8 +530,8 @@ def _label(defect, defect_dual):
 
 
 def _distances(spec):
-    """(d, d-dual) from one signature DP: d builds the levels, and d-dual
-    reads the ones d kept.  An MDS code has an MDS dual, so its d-dual is
+    """(d, d-dual) from one signature DP: d builds the levels its lookup
+    and scans read, and d-dual reads the ones d kept.  An MDS code has an MDS dual, so its d-dual is
     k + 1 with no search."""
     levels = _Levels(spec)
     d = grl_min_distance(spec, levels=levels)

@@ -31,7 +31,8 @@ class DistinctnessViolation(GrlError):
     pass
 
 
-# spec keys and their JSON types; "v" may be omitted for all ones
+# spec keys and their JSON types; "v" may be omitted for all ones.  A JSON
+# true or false is no int, though Python's bool is one
 _SPEC_KEYS = {"field": (str,), "k": (int,), "l": (int,), "alpha": (list,),
               "v": (list, type(None)), "A": (list,)}
 
@@ -83,14 +84,16 @@ class GrlSpec:
         if not isinstance(d, dict):
             raise GrlError(f"spec must be a JSON object, not {type(d).__name__}")
         for key, kinds in _SPEC_KEYS.items():
-            if not isinstance(d.get(key), kinds):
+            value = d.get(key)
+            if not isinstance(value, kinds) or isinstance(value, bool):
                 raise GrlError(f"spec needs key {key!r} of type "
                                f"{kinds[0].__name__}")
         if not all(isinstance(row, list) for row in d["A"]):
             raise GrlError("spec key 'A' must be a list of rows")
         ctx = field_from_str(d["field"])
         alpha = [ctx.parse(s) for s in d["alpha"]]
-        v = [ctx.parse(s) for s in d.get("v") or ["g^0"] * len(alpha)]
+        v = d.get("v")
+        v = [ctx.parse(s) for s in (["g^0"] * len(alpha) if v is None else v)]
         a = Matrix.from_strs(ctx, d["A"])
         if a.rows != d["l"]:
             raise InvariantViolation([f"A is {a.rows}x{a.cols} but l={d['l']}"])

@@ -139,9 +139,15 @@ def test_engines_match_column_search_on_appendix():
 
 
 def test_classify_builds_each_signature_level_once(monkeypatch):
-    """classify builds the signature levels 1..k-1 once, in d, and d-dual
-    reads the levels d kept: k - 1 calls of _extend per row, whether or
-    not d-dual is searched.  Standalone, each engine builds its own."""
+    """classify builds each signature level at most once, and d-dual reads
+    the levels d kept.  Both rank-1 lookups read the level below their
+    own, so a level is built only when it is read one signature at a
+    time.  On the 23 l = 2 rows no level is scanned and level k - 1 is
+    never built: k - 2 calls of _extend.  On the 10 rows with l >= 3 the
+    d lookup misses and d scans level k - 1: k - 1 calls, whether or not
+    d-dual is searched.  Standalone, d makes the same calls; d-dual builds
+    the level k - l its lookup reads for l = 2, and for l >= 3 up to the
+    last level it reads, min(d-dual - 2, k - 1) (k - l on a hit)."""
     calls = []
 
     def counting(*args):
@@ -149,21 +155,25 @@ def test_classify_builds_each_signature_level_once(monkeypatch):
         return _extend(*args)
 
     monkeypatch.setattr(classify_mod, "_extend", counting)
+    rows = {True: 0, False: 0}
     searched = 0
     for row in load_rows("all"):
         spec = row.spec
+        k, l = spec.k, spec.l
+        built = k - 2 if l == 2 else k - 1
         calls.clear()
         rep = classify(spec)
-        assert len(calls) == spec.k - 1, row.id
+        assert len(calls) == built, row.id
         calls.clear()
         assert grl_min_distance(spec) == rep.d
-        assert len(calls) == spec.k - 1, row.id
-        if rep.label != "MDS":
-            searched += 1
-            calls.clear()
-            assert dual_min_distance(spec) == rep.d_dual
-            assert spec.k - spec.l + 1 <= len(calls) <= spec.k - 1, row.id
-    assert searched == 29
+        assert len(calls) == built, row.id
+        calls.clear()
+        assert dual_min_distance(spec) == rep.d_dual
+        dual_built = k - 2 if l == 2 else min(rep.d_dual - 2, k - 1)
+        assert len(calls) == dual_built, row.id
+        rows[l == 2] += 1
+        searched += rep.label != "MDS"
+    assert rows == {True: 23, False: 10} and searched == 29
 
 
 def test_classify_decides_rank_one_and_two_by_counting(monkeypatch,
@@ -366,6 +376,8 @@ def test_rank_one_levels_are_decided_by_lookup(monkeypatch,
     """On every l = 2 appendix row neither engine reads its rank-1 level
     (d at k - 1, d-dual at k - l + 1) one signature at a time: each makes
     at most l^2 FieldCtx.dot calls, where a scan makes l per signature.
+    Each lookup reads the level below its own, so neither engine builds
+    level k - 1 on such a row.
     On the five B.4 l = 3 rows, whose level k - 1 holds no signature with
     two tail zeros, d reads that level up to its first signature with one
     tail zero and reads no other level."""
@@ -400,6 +412,7 @@ def test_rank_one_levels_are_decided_by_lookup(monkeypatch,
             assert engine(spec, levels=levels) == answer, row.id
             if l == 2:
                 assert rank_one not in levels.counts, (row.id, engine)
+                assert levels.built == k - 2, (row.id, engine)
                 assert len(dots) <= l * l, (row.id, engine)
             elif engine is grl_min_distance and row.id in b4_first:
                 assert levels.counts == {k - 1: b4_first[row.id]}, row.id
@@ -540,6 +553,61 @@ def test_signature_levels_match_elementary_symmetric():
             # the next level relies on this order
             assert list(level.values()) == sorted(level.values())
         assert len(level) == 1
+
+
+def test_levels_holds_matches_subset_signatures():
+    """_Levels.holds decides whether level s holds a signature from level
+    s - 1, by peeling off each point's factor (1 + a_j x).  With k = l
+    every level from 0 on is kept, so on seeded point sets with and
+    without the zero point, widths 1..4 and every s in 1..n (s = 1 reads
+    level 0, the start), it answers True for each signature of an
+    s-subset and False for seeded signatures no s-subset has: random
+    ones, and those of an (s - 1)-subset times the factor of a point it
+    already holds, which only a peel that allows index j itself would
+    find."""
+    rng = random.Random(34)
+    tried = members = outsiders = doubled = 0
+    for p, m, n, width in ((5, 1, 4, 1), (7, 1, 6, 2), (3, 2, 8, 3),
+                           (11, 1, 8, 4), (3, 3, 7, 4)):
+        ctx = field_new(p, m)
+        for with_zero in (False, True):
+            alpha = rng.sample(list(ctx.nonzero_elements()), n - with_zero)
+            if with_zero:
+                alpha.insert(rng.randint(0, len(alpha)), ZERO)
+            a = Matrix(ctx, [[0 if i == j else ZERO for j in range(width + 1)]
+                             for i in range(width + 1)])
+            spec = GrlSpec(ctx=ctx, alpha=alpha, v=[0] * n, a=a,
+                           k=width + 1)
+            levels = _Levels(spec)
+            points = levels.neg
+            assert (ZERO in points) == with_zero
+            for s in range(1, n + 1):
+                level = _subset_signatures(ctx, points, s, width)
+                for sig in level:
+                    assert levels.holds(s, [sig]), (p, m, s, sig)
+                members += len(level)
+                others = set()
+                for _ in range(20):
+                    others.add(tuple(rng.choice([ZERO, *range(ctx.n)])
+                                     for _ in range(width)))
+                    idx = rng.sample(range(n), s - 1)
+                    if idx:
+                        twice = idx + [rng.choice(idx)]
+                        sig = elementary_symmetric(
+                            ctx, [points[i] for i in twice])
+                        sig = tuple((sig + [ZERO] * width)[1:width + 1])
+                        doubled += sig not in level
+                        others.add(sig)
+                others -= set(level)
+                for sig in others:
+                    assert not levels.holds(s, [sig]), (p, m, s, sig)
+                outsiders += len(others)
+                if level and others:
+                    assert levels.holds(s, [*others, next(iter(level))])
+                tried += 1
+    assert tried == 2 * (4 + 6 + 8 + 8 + 7)
+    assert min(members, outsiders, doubled) > 0, (members, outsiders,
+                                                  doubled)
 
 
 def test_dual_distance_agrees_with_enumeration():

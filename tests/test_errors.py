@@ -6,12 +6,15 @@ raised anything else would escape it as a traceback.
 
 import importlib
 import inspect
+import json
 import pkgutil
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grlcodes
+from grlcodes.cli import main
 from grlcodes.gf import ZERO, GrlError, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.linalg import rank
@@ -107,6 +110,36 @@ def test_spec_from_json_returns_a_spec_or_raises_grl_error(value):
     assert 2 <= spec.l <= spec.k <= spec.n <= spec.ctx.q
     assert spec.a.cols == spec.l and rank(spec.a) == spec.l
     assert rank(build_generator(spec)) == spec.k
+
+
+# a present "v" is read as given: only an omitted one means all ones.  A
+# JSON true or false for k or l is refused where any other non-int is
+SHAPE_ERRORS = {
+    "empty-v": ({**SPEC, "alpha": ["1", "g^1", "g^2"], "v": []},
+                "v must have length n"),
+    "k-true": ({**SPEC, "k": True}, "spec needs key 'k' of type int"),
+    "k-false": ({**SPEC, "k": False}, "spec needs key 'k' of type int"),
+    "l-true": ({**SPEC, "l": True}, "spec needs key 'l' of type int"),
+}
+
+
+@pytest.mark.parametrize("spec,message", SHAPE_ERRORS.values(),
+                         ids=SHAPE_ERRORS.keys())
+def test_spec_shape_errors(spec, message, tmp_path, capsys):
+    """Refused by from_json_dict with its message, and by `report` with
+    exit code 2 and that message on one error line."""
+    with pytest.raises(GrlError, match=message):
+        GrlSpec.from_json_dict(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["report", "--spec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_omitted_v_means_all_ones():
+    spec = GrlSpec.from_json_dict(SPEC)
+    assert spec.v == [spec.ctx.one()] * spec.n
 
 
 @settings(max_examples=300, deadline=None)
