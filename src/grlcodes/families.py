@@ -424,8 +424,14 @@ def _predict_hermitian(params, w, zero):
     return _none("k divides neither q-1 nor q+1", **w)
 
 
+def _points_key(p: FamilyParams):
+    """What fixes a cell's evaluation points, v, k and inner product: the
+    cell without its tail width l."""
+    return p.family, p.q, p.k, p.delta, p.s, p.t
+
+
 def _cell_key(p: FamilyParams):
-    return p.family, p.q, p.k, p.l, p.delta, p.s, p.t
+    return _points_key(p) + (p.l,)
 
 
 class CellPoints:
@@ -433,11 +439,17 @@ class CellPoints:
     the prediction of each corner class and the blocks' share X of the
     Gram corner, each made when first asked for, and the cell's
     evaluation points with the A-free part of their Gram
-    (hull.PointGram), made for the first A whose audit has a claim."""
+    (hull.PointGram), made for the first A whose audit has a claim.
 
-    def __init__(self, cell: FamilyParams):
+    grams maps _points_key to a PointGram.  Cells that differ only in l
+    have the same points and power sums, so a sweep hands every cell of
+    one (q, k) the same dict: the first cell on a set of points computes
+    the power sums, and the others re-split them for their l."""
+
+    def __init__(self, cell: FamilyParams, grams: dict | None = None):
         self.cell = cell
         self._key = _cell_key(cell)
+        self._grams = {} if grams is None else grams
         self.gram: PointGram | None = None
         self._x = None
         self._classes = {}      # corner class (is it zero) -> Prediction
@@ -474,13 +486,19 @@ class CellPoints:
         """The hull of this cell's code with tail matrix a."""
         inner = HERMITIAN if self.cell.hermitian else EUCLIDEAN
         if self.gram is None:
-            spec = build_spec(replace(self.cell, a=a))
-            self.gram = point_gram(spec, inner)
+            key = _points_key(self.cell)
+            shared = self._grams.get(key)
+            spec = (build_spec(replace(self.cell, a=a)) if shared is None
+                    else _with_tail(shared.spec, a))
+            self.gram = self._grams[key] = point_gram(spec, inner, shared)
         else:
-            ref = self.gram.spec
-            spec = GrlSpec(ctx=ref.ctx, alpha=ref.alpha, v=ref.v, a=a,
-                           k=ref.k)
+            spec = _with_tail(self.gram.spec, a)
         return hull_report(spec, inner, self.gram)
+
+
+def _with_tail(ref: GrlSpec, a: Matrix) -> GrlSpec:
+    """The spec on ref's points with tail matrix a."""
+    return GrlSpec(ctx=ref.ctx, alpha=ref.alpha, v=ref.v, a=a, k=ref.k)
 
 
 def predict(params: FamilyParams,
@@ -497,7 +515,8 @@ def predict(params: FamilyParams,
         raise GrlError("audit params are not from this cell")
     pred = points.prediction(False)
     if "corner" not in pred.witnesses:  # this cell's ladder reads no A
-        return replace(pred, witnesses=dict(pred.witnesses))
+        return Prediction(pred.claim, pred.value, pred.clause,
+                          dict(pred.witnesses))
     ctx, x = params.ctx, points.x
     corner = ctx.add(ctx.mul(ctx.from_int(params.k), x),
                      _row_norm_sum(ctx, params.a.data[0],
@@ -507,7 +526,7 @@ def predict(params: FamilyParams,
     if not params.hermitian:
         w["theta"] = ctx.fmt(x)
     w["corner"] = ctx.fmt(corner)
-    return replace(pred, witnesses=w)
+    return Prediction(pred.claim, pred.value, pred.clause, w)
 
 
 def audit(params: FamilyParams,
@@ -629,13 +648,14 @@ def _shift_grid(family, q, k, order):
 
 
 def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
-               records: list, budget: int) -> bool:
+               records: list, budget: int, grams: dict | None = None) -> bool:
     """Audit samples random invertible A on one cell, plus, on a half-width
     tail, one A aimed at a zero corner; append the record of each A that
     has a claim.  Returns True when the budget of records stops it first.
     Raises NoClaim, before it draws any A, when no corner class of the
-    cell has a claim."""
-    points = CellPoints(cell)
+    cell has a claim.  grams, as in CellPoints, shares the point Grams of
+    cells on the same points."""
+    points = CellPoints(cell, grams)
     nonzero, zero = points.prediction(False), points.prediction(True)
     if nonzero.claim == zero.claim == "none":
         raise NoClaim(nonzero.clause)
@@ -660,13 +680,18 @@ def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
 def sweep(family: str, qs=None, k_range=(4, 16), samples: int = 3,
           seed: int = 0, budget: int = 10 ** 6):
     """Deterministic seeded sweep; returns (records, exhausted_budget).
-    A cell that no A can satisfy is skipped without drawing any A."""
+    A cell that no A can satisfy is skipped without drawing any A.  The
+    cells of one (q, k) share their point Grams across tail widths; they
+    are dropped when (q, k) changes."""
     rng = random.Random(seed)
     records = []
+    at = None   # the (q, k) whose point Grams grams holds
     for q, k, l, shifts in corpus_cells(family, qs, k_range):
+        if (q, k) != at:
+            grams, at = {}, (q, k)
         cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
         try:
-            if audit_cell(cell, rng, samples, records, budget):
+            if audit_cell(cell, rng, samples, records, budget, grams):
                 return records, True
         except NoClaim:
             continue

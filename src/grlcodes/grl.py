@@ -31,10 +31,11 @@ class DistinctnessViolation(GrlError):
     pass
 
 
-# spec keys and their JSON types; "v" may be omitted for all ones.  A JSON
-# true or false is no int, though Python's bool is one
-_SPEC_KEYS = {"field": (str,), "k": (int,), "l": (int,), "alpha": (list,),
-              "v": (list, type(None)), "A": (list,)}
+# spec keys and their JSON types; "v" may be omitted for all ones, but a
+# "v" that is there, null included, must be a list.  A JSON true or false
+# is no int, though Python's bool is one
+_SPEC_KEYS = {"field": str, "k": int, "l": int, "alpha": list, "v": list,
+              "A": list}
 
 
 @dataclass
@@ -83,17 +84,18 @@ class GrlSpec:
     def from_json_dict(cls, d: dict) -> "GrlSpec":
         if not isinstance(d, dict):
             raise GrlError(f"spec must be a JSON object, not {type(d).__name__}")
-        for key, kinds in _SPEC_KEYS.items():
+        for key, kind in _SPEC_KEYS.items():
+            if key == "v" and key not in d:
+                continue
             value = d.get(key)
-            if not isinstance(value, kinds) or isinstance(value, bool):
+            if not isinstance(value, kind) or isinstance(value, bool):
                 raise GrlError(f"spec needs key {key!r} of type "
-                               f"{kinds[0].__name__}")
+                               f"{kind.__name__}")
         if not all(isinstance(row, list) for row in d["A"]):
             raise GrlError("spec key 'A' must be a list of rows")
         ctx = field_from_str(d["field"])
         alpha = [ctx.parse(s) for s in d["alpha"]]
-        v = d.get("v")
-        v = [ctx.parse(s) for s in (["g^0"] * len(alpha) if v is None else v)]
+        v = [ctx.parse(s) for s in d.get("v", ["g^0"] * len(alpha))]
         a = Matrix.from_strs(ctx, d["A"])
         if a.rows != d["l"]:
             raise InvariantViolation([f"A is {a.rows}x{a.cols} but l={d['l']}"])

@@ -21,16 +21,15 @@ corner A A^T or A conj(A)^T, added to the block at rows and columns
 k-l..k-1, where G has its tail; spec_gram is the point part plus the
 corner.
 
-The top k - l rows of the Gram never meet the corner, so specs on the
-same points that differ only in A share them.  point_gram keeps them in
-reduced echelon form (one echelon call) next to the l bottom point rows,
-and hull_report adds the corner to those l rows only and takes the rank
-of the stack.  That is exact: rank(Gram) = rank(top) + rank(bottom
-reduced modulo the row space of top), and the reduced top rows span that
-row space.  A families sweep cell audits 5-6 tail matrices on one set of
-points and makes its PointGram once.  A PointGram keeps the spec it was
-made from, and hull_report reads that spec to refuse a PointGram made for
-other points, k, l or inner product; it makes its own without one.
+The top k - l rows of the Gram never meet the corner.  point_gram brings
+them to reduced echelon form E, and reduces the l bottom point rows and
+the corner columns modulo E, on the columns F that are not pivots of E.
+The bottom Gram rows reduced modulo E are then that residue plus the
+corner S times the reduced corner columns, so hull_report ranks an
+l x |F| matrix per A: rank(Gram) = rank(E) + its rank (docs/decisions.md, section 6).  A
+sweep cell makes its PointGram once, and cells that differ only in l
+share the power sums.  A PointGram keeps the spec it was made from, and
+hull_report and point_gram read it to refuse one made for other points.
 
 Oracles: gram multiplies a generator out, and hull_dim_bruteforce
 recomputes the hull as dim(C) + dim(C_perp) - rank of the stacked
@@ -45,7 +44,7 @@ from typing import NamedTuple
 from .gf import ZERO, FieldCtx, GrlError
 from .grl import GrlSpec
 from .linalg import (Matrix, RankDeficient, conjugate, echelon, kernel_basis,
-                     mat_mul, rank, rank_rows, stack, transpose)
+                     mat_mul, rank, stack, transpose)
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
@@ -105,11 +104,10 @@ def _point_rows(spec: GrlSpec, sigma: int) -> list[list[int]]:
             if x is None:
                 x = ZERO
                 for w, a in points:
-                    y = (w + a * e) % n
                     if x < 0:
-                        x = y
+                        x = (w + a * e) % n
                     else:
-                        z = zech[(y - x) % n]
+                        z = zech[(w + a * e - x) % n]
                         x = ZERO if z < 0 else (x + z) % n
                 sums[e] = x
             if t == 0:
@@ -120,52 +118,111 @@ def _point_rows(spec: GrlSpec, sigma: int) -> list[list[int]]:
     return rows
 
 
-def _with_corner(spec: GrlSpec, sigma: int, bottom) -> list[list[int]]:
-    """Copies of the l bottom point rows with A A^T (sigma = 1) or
-    A conj(A)^T (sigma = q) added at columns k-l..k-1."""
-    ctx, top, l = spec.ctx, spec.k - spec.l, spec.l
-    n, a = ctx.n, spec.a.data
-    a_bar = a if sigma == 1 else conjugate(spec.a).data
-    rows = [row[:] for row in bottom]
+def _corner(spec: GrlSpec, sigma: int) -> list[list[int]]:
+    """The tail's share of the Gram, S = A A^T (sigma = 1) or A conj(A)^T
+    (sigma = q), as a full l x l matrix: entry (j, i) is entry (i, j)
+    raised to sigma."""
+    n, a, l = spec.ctx.n, spec.a.data, spec.l
+    a_bar = a if sigma == 1 else [[x if x < 0 else x * sigma % n for x in row]
+                                  for row in a]
+    dot = spec.ctx.dot
+    s = [[ZERO] * l for _ in range(l)]
     for i in range(l):
         for j in range(i, l):
-            x = ctx.add(rows[i][top + j], ctx.dot(a[i], a_bar[j]))
-            rows[i][top + j] = x
-            # as in the point rows, entry (j, i) is entry (i, j) ** sigma
-            rows[j][top + i] = ZERO if x < 0 else x * sigma % n
-    return rows
+            x = dot(a[i], a_bar[j])
+            s[i][j] = x
+            s[j][i] = ZERO if x < 0 else x * sigma % n
+    return s
 
 
 def spec_gram(spec: GrlSpec, inner_product: str) -> Matrix:
     """The spec's Gram from weighted power sums; equals
     gram(build_generator(spec), inner_product)."""
-    sigma = _sigma(spec.ctx, inner_product)
+    ctx = spec.ctx
+    sigma = _sigma(ctx, inner_product)
     rows = _point_rows(spec, sigma)
     top = spec.k - spec.l
-    return Matrix(spec.ctx, rows[:top] + _with_corner(spec, sigma, rows[top:]))
+    for row, s_row in zip(rows[top:], _corner(spec, sigma)):
+        for j, x in enumerate(s_row):
+            row[top + j] = ctx.add(row[top + j], x)
+    return Matrix(ctx, rows)
+
+
+def _add_product(ctx: FieldCtx, rows, coeffs, vectors) -> None:
+    """rows += coeffs vectors in place, each vector given as its (column,
+    nonzero entry) pairs."""
+    n, zech = ctx.n, ctx.zech
+    for row, fs in zip(rows, coeffs):
+        for f, w in zip(fs, vectors):
+            if f < 0:
+                continue
+            for c, e in w:
+                t = (f + e) % n
+                x = row[c]
+                if x < 0:
+                    row[c] = t
+                else:
+                    z = zech[(t - x) % n]
+                    row[c] = ZERO if z < 0 else (x + z) % n
 
 
 class PointGram(NamedTuple):
-    """The part of the Gram that the points fix, shared by every spec with
-    the same field, alpha, v, k and l as spec: sigma, the l bottom point
-    rows without the corner, and the top k - l rows in reduced echelon
-    form with their zero rows dropped."""
+    """The A-free part of the Gram of spec's points and tail width: the
+    k x k power sums (the same for every l), the rank of the top k - l
+    rows, the l bottom point rows reduced modulo their echelon form E on
+    its free columns (residue), and each corner column reduced the same
+    way, as (position, nonzero entry) pairs: a one at a free column, or
+    minus E's row with that pivot (corner)."""
     inner_product: str
     sigma: int
     spec: GrlSpec
-    top: list[list[int]]
-    bottom: list[list[int]]
+    sums: list[list[int]]
+    top_rank: int
+    residue: list[list[int]]
+    corner: list[list[tuple[int, int]]]
 
 
-def point_gram(spec: GrlSpec, inner_product: str) -> PointGram:
-    """The PointGram of the spec's points; one echelon call."""
-    sigma = _sigma(spec.ctx, inner_product)
-    rows = _point_rows(spec, sigma)
-    split = spec.k - spec.l
-    top = rows[:split]
-    del top[len(echelon(spec.ctx, top)):]
+def _refuse_other_points(points: PointGram, spec: GrlSpec,
+                         inner_product: str, any_l: bool = False) -> None:
+    """GrlError unless points was made for spec's field, alpha, v, k and
+    inner product, and for its l unless any_l."""
+    ref = points.spec
+    if (points.inner_product != inner_product or ref.ctx is not spec.ctx
+            or ref.k != spec.k or ref.alpha != spec.alpha
+            or ref.v != spec.v or not (any_l or ref.l == spec.l)):
+        raise GrlError("the point Gram was made for other points, k, l "
+                       "or inner product")
+
+
+def point_gram(spec: GrlSpec, inner_product: str,
+               shared: PointGram | None = None) -> PointGram:
+    """The PointGram of the spec's points; one echelon call.  shared, a
+    PointGram of the same points with any l, lends its power sums;
+    GrlError if it was made for other points, k or inner product."""
+    ctx, k = spec.ctx, spec.k
+    if shared is None:
+        sigma = _sigma(ctx, inner_product)
+        sums = _point_rows(spec, sigma)
+    else:
+        _refuse_other_points(shared, spec, inner_product, any_l=True)
+        sigma, sums = shared.sigma, shared.sums
+    split = k - spec.l
+    top = [row[:] for row in sums[:split]]
+    pivots = echelon(ctx, top)
+    free = [c for c in range(k) if c not in pivots]
+    # the Gram's unit column p reduced modulo E: minus E's row p, on F
+    n, half = ctx.n, ctx.half
+    reduced = [[(i, (e + half) % n) for i, c in enumerate(free)
+                if (e := row[c]) >= 0] for row in top]
+    bottom = sums[split:]
+    residue = [[row[c] for c in free] for row in bottom]
+    _add_product(ctx, residue, [[row[p] for p in pivots] for row in bottom],
+                 reduced)
+    corner = [reduced[pivots.index(c)] if c in pivots
+              else [(free.index(c), 0)] for c in range(split, k)]
     return PointGram(inner_product=inner_product, sigma=sigma, spec=spec,
-                     top=top, bottom=rows[split:])
+                     sums=sums, top_rank=len(pivots), residue=residue,
+                     corner=corner)
 
 
 def hull_report(spec: GrlSpec, inner_product: str,
@@ -176,14 +233,11 @@ def hull_report(spec: GrlSpec, inner_product: str,
     made for other points, k, l or inner product."""
     if points is None:
         points = point_gram(spec, inner_product)
-    elif (points.inner_product != inner_product
-          or points.spec.ctx is not spec.ctx
-          or (points.spec.k, points.spec.l) != (spec.k, spec.l)
-          or points.spec.alpha != spec.alpha or points.spec.v != spec.v):
-        raise GrlError("the point Gram was made for other points, k, l "
-                       "or inner product")
-    r = rank_rows(spec.ctx, points.top +
-                  _with_corner(spec, points.sigma, points.bottom))
+    else:
+        _refuse_other_points(points, spec, inner_product)
+    rows = [row[:] for row in points.residue]
+    _add_product(spec.ctx, rows, _corner(spec, points.sigma), points.corner)
+    r = points.top_rank + len(echelon(spec.ctx, rows))
     h = spec.k - r
     return HullReport(inner_product=inner_product, gram_rank=r,
                       hull_dim=h, is_lcd=(h == 0))

@@ -78,12 +78,12 @@ def near_valid(draw):
                           unique=True))
     l = draw(st.integers(2, 3))
     row = st.lists(st.sampled_from(els[:4]), min_size=l, max_size=l)
-    return {"field": "7", "k": draw(st.integers(l, 5)), "l": l,
-            "alpha": alpha,
-            "v": draw(st.none() | st.lists(st.sampled_from(["0", "1", "g^3"]),
-                                           min_size=len(alpha),
-                                           max_size=len(alpha))),
-            "A": draw(st.lists(row, min_size=l, max_size=l))}
+    spec = {"field": "7", "k": draw(st.integers(l, 5)), "l": l,
+            "alpha": alpha, "A": draw(st.lists(row, min_size=l, max_size=l))}
+    if draw(st.booleans()):  # otherwise v is omitted: all ones
+        spec["v"] = draw(st.lists(st.sampled_from(["0", "1", "g^3"]),
+                                  min_size=len(alpha), max_size=len(alpha)))
+    return spec
 
 
 SPEC = {"field": "7", "k": 3, "l": 2, "alpha": ["0", "1", "g^1", "g^2"],
@@ -112,11 +112,13 @@ def test_spec_from_json_returns_a_spec_or_raises_grl_error(value):
     assert rank(build_generator(spec)) == spec.k
 
 
-# a present "v" is read as given: only an omitted one means all ones.  A
-# JSON true or false for k or l is refused where any other non-int is
+# a present "v" is read as given, and a null one is refused: only an
+# omitted one means all ones.  A JSON true or false for k or l is refused
+# where any other non-int is
 SHAPE_ERRORS = {
     "empty-v": ({**SPEC, "alpha": ["1", "g^1", "g^2"], "v": []},
                 "v must have length n"),
+    "null-v": ({**SPEC, "v": None}, "spec needs key 'v' of type list"),
     "k-true": ({**SPEC, "k": True}, "spec needs key 'k' of type int"),
     "k-false": ({**SPEC, "k": False}, "spec needs key 'k' of type int"),
     "l-true": ({**SPEC, "l": True}, "spec needs key 'l' of type int"),

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from grlcodes import families, gf, linalg
+from grlcodes import families, gf, hull, linalg
 from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                HERMITIAN_FAMILIES, CellPoints, FamilyParams,
                                NoClaim, audit, audit_cell, build_spec,
@@ -17,7 +17,7 @@ from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
 from grlcodes.gf import ZERO, GrlError, field_new
 from grlcodes.grl import (DistinctnessViolation, InvariantViolation,
                          build_generator)
-from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram
+from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram, spec_gram
 from grlcodes.linalg import Matrix, rank
 
 
@@ -295,13 +295,57 @@ def _records_sha256(recs):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_all_family_sweep_digest():
-    # the all-family digest quoted in ROADMAP: the records of
-    # sweep(f, samples=3, seed=5) for every family, as one list
-    recs = [r for f in FAMILIES for r in sweep(f, samples=3, seed=5)[0]]
-    assert len(recs) == 3950
-    assert _records_sha256(recs) == (
+@pytest.fixture(scope="module")
+def all_family_records():
+    """The records of sweep(f, samples=3, seed=5) for every family, as one
+    list."""
+    return [r for f in FAMILIES for r in sweep(f, samples=3, seed=5)[0]]
+
+
+def test_all_family_sweep_digest(all_family_records):
+    # the all-family digest quoted in ROADMAP
+    assert len(all_family_records) == 3950
+    assert _records_sha256(all_family_records) == (
         "337ed6a9e00675ef5bd24523747855e7c50ecd6f12c17f29950d97959277acbc")
+
+
+def record_spec(record):
+    """The spec an audit record was made for, and its inner product."""
+    params = dict(record.params)
+    family, q = params["family"], params["q"]
+    ctx = family_ctx(family, q)
+    params["a"] = Matrix.from_strs(ctx, params.pop("A"))
+    inner = HERMITIAN if family in HERMITIAN_FAMILIES else EUCLIDEAN
+    return build_spec(FamilyParams(**params)), inner
+
+
+def test_every_all_family_hull_is_the_gram_rank_hull(all_family_records):
+    # each audited hull, from the shared point Grams and the l-row
+    # residues, against k - rank of the whole Gram; CI checks the same
+    # records against hull_dim_bruteforce
+    for record in all_family_records:
+        spec, inner = record_spec(record)
+        assert record.computed_hull == \
+            spec.k - rank(spec_gram(spec, inner)), record.params
+
+
+def test_sweep_shares_the_power_sums_across_tail_widths(monkeypatch):
+    # the cells of one (q, k) that differ only in l audit the same points,
+    # so a sweep takes their power sums once per set of points
+    calls = Counter()
+    point_rows = hull._point_rows
+
+    def counted(spec, sigma):
+        calls["sums"] += 1
+        return point_rows(spec, sigma)
+
+    monkeypatch.setattr(hull, "_point_rows", counted)
+    recs, _ = sweep("E1", qs=(25, 49), samples=2, seed=7)
+    cells = {(r.params["q"], r.params["k"], r.params["l"],
+              r.params["delta"]) for r in recs}
+    point_sets = {cell[:2] + cell[3:] for cell in cells}
+    assert len(point_sets) < len(cells)
+    assert calls["sums"] == len(point_sets)
 
 
 # sha256 of each family sweep's sorted-key JSON records

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from grlcodes.classify import classify
 from grlcodes.eaqecc import derive
+from grlcodes.families import (FamilyParams, build_spec, corpus_cells,
+                               sample_invertible)
 from grlcodes.gf import ZERO, GrlError, field_new
 from grlcodes.grl import GrlSpec, build_generator, build_M
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, dual_generator, gram,
                            hull_dim_bruteforce, hull_report, point_gram,
                            spec_gram)
 from grlcodes.linalg import (Matrix, RankDeficient, conjugate, mat_mul, rank,
-                             transpose)
+                             rref, transpose)
 
 
 def unit_spec(ctx, alpha, a_rows, k):
@@ -315,10 +317,145 @@ def test_point_gram_of_other_points_is_refused():
                                    for x in spec.alpha])
     wider = replace(spec, a=Matrix.identity(ctx, 3))
     other_v = replace(spec, v=[ctx.element(1)] * spec.n)
-    for other in (shifted, wider, other_v):
+    longer = replace(spec, k=4)
+    for other in (shifted, wider, other_v, longer):
         with pytest.raises(GrlError, match="other points"):
             hull_report(other, EUCLIDEAN, points)
     with pytest.raises(GrlError, match="other points"):
         hull_report(spec, HERMITIAN, points)
     assert hull_report(spec, EUCLIDEAN, points) == \
         hull_report(spec, EUCLIDEAN)
+    # point_gram lends its power sums across tail widths only
+    for other in (shifted, other_v, longer):
+        with pytest.raises(GrlError, match="other points"):
+            point_gram(other, EUCLIDEAN, points)
+    with pytest.raises(GrlError, match="other points"):
+        point_gram(spec, HERMITIAN, points)
+    assert point_gram(wider, EUCLIDEAN, points) == \
+        point_gram(wider, EUCLIDEAN)
+
+
+def residue_hull(spec, inner):
+    """The production hull, checked against k - rank(spec_gram) and the
+    stacked-generator oracle."""
+    rep = hull_report(spec, inner)
+    assert rep.hull_dim == spec.k - rank(spec_gram(spec, inner))
+    assert rep.hull_dim == hull_dim_bruteforce(build_generator(spec), inner)
+    return rep
+
+
+def top_pivots(spec, inner):
+    """The pivots of the Gram's top k - l rows, from rref."""
+    top = spec_gram(spec, inner).data[:spec.k - spec.l]
+    return rref(Matrix(spec.ctx, top))[1]
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
+def test_residue_hull_with_an_empty_top(p, m):
+    # k = l: E is empty, every column is free, and the residue is the
+    # whole Gram
+    ctx, rng = field_new(p, m), random.Random(p)
+    nonzero = list(ctx.nonzero_elements())
+    for inner in (EUCLIDEAN, HERMITIAN):
+        for k in (2, 3, 4):
+            for _ in range(8):
+                n = rng.randint(k, ctx.q)
+                spec = GrlSpec(ctx=ctx,
+                               alpha=rng.sample(list(ctx.elements()), n),
+                               v=[rng.choice(nonzero) for _ in range(n)],
+                               a=sample_invertible(ctx, k, rng), k=k)
+                points = point_gram(spec, inner)
+                assert points.top_rank == 0
+                assert [len(w) for w in points.corner] == [1] * k
+                residue_hull(spec, inner)
+
+
+@pytest.mark.parametrize("p,m,k,l", [(3, 2, 5, 2), (3, 2, 6, 2),
+                                     (5, 2, 7, 3), (5, 2, 9, 4)])
+def test_residue_hull_with_a_rank_deficient_top(p, m, k, l):
+    # alpha = all of GF(q)^*, v = 1: S(t) = -1 when q - 1 divides t and 0
+    # otherwise, so most of the top rows vanish
+    ctx, rng = field_new(p, m), random.Random(k)
+    alpha = list(ctx.nonzero_elements())
+    for inner in (EUCLIDEAN, HERMITIAN):
+        for _ in range(10):
+            spec = GrlSpec(ctx=ctx, alpha=alpha, v=[ctx.one()] * len(alpha),
+                           a=sample_invertible(ctx, l, rng), k=k)
+            assert point_gram(spec, inner).top_rank == \
+                len(top_pivots(spec, inner)) < k - l
+            residue_hull(spec, inner)
+
+
+@pytest.mark.parametrize("family,qs", [("E1", (25,)), ("E2", (25,)),
+                                       ("H1", (3, 5, 9)), ("H3", (5, 9))])
+def test_residue_hull_with_pivots_in_the_corner(family, qs):
+    # family cells put Gram entries on the anti-diagonal (or diagonal),
+    # so pivots of E fall on corner columns k-l..k-1; every one of these
+    # fields is a square, so both products apply
+    rng = random.Random(7)
+    seen = {EUCLIDEAN: 0, HERMITIAN: 0}
+    for q, k, l, shifts in corpus_cells(family, qs):
+        cell = FamilyParams(family=family, q=q, k=k, l=l, **shifts)
+        spec = build_spec(replace(cell, a=sample_invertible(cell.ctx, l, rng)))
+        for inner in seen:
+            if any(p >= k - l for p in top_pivots(spec, inner)):
+                residue_hull(spec, inner)
+                seen[inner] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def coset_block_specs(ctx, rng, count):
+    """count specs on unions of cosets of a subgroup mu_d, v constant on
+    each coset: their power sums vanish off multiples of d, which puts
+    pivots of E on corner columns with E's rows reaching free columns."""
+    n, nonzero = ctx.n, list(ctx.nonzero_elements())
+    divisors = [d for d in range(1, n) if n % d == 0]
+    for _ in range(count):
+        d = rng.choice(divisors)
+        shifts = rng.sample(range(n // d), rng.randint(1, min(3, n // d)))
+        weights = [rng.choice(nonzero) for _ in shifts]
+        alpha = [ctx.element(s + n // d * i) for s in shifts for i in range(d)]
+        v = [w for w in weights for _ in range(d)]
+        if len(alpha) < 2:
+            continue
+        k = rng.randint(2, min(len(alpha), 9))
+        yield GrlSpec(ctx=ctx, alpha=alpha, v=v,
+                      a=sample_invertible(ctx, rng.randint(2, k), rng), k=k)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2)])
+def test_residue_hull_with_corner_pivot_rows_on_free_columns(p, m):
+    # a pivot of E on a corner column whose row of E reaches a free
+    # column: each A then subtracts a multiple of that row from the
+    # residue.  Family cells have corner pivots, but their rows of E are
+    # unit rows
+    ctx, rng = field_new(p, m), random.Random(p)
+    seen = {EUCLIDEAN: 0, HERMITIAN: 0}
+    for spec in coset_block_specs(ctx, rng, 1500):
+        split = spec.k - spec.l
+        for inner in seen:
+            top = spec_gram(spec, inner).data[:split]
+            reduced, pivots = rref(Matrix(ctx, top))
+            if any(c >= split and any(x >= 0 for x in row[c + 1:])
+                   for c, row in zip(pivots, reduced.data)):
+                residue_hull(spec, inner)
+                seen[inner] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_specs(), st.data())
+def test_point_gram_of_another_tail_width_gives_the_same_hulls(spec, data):
+    """A PointGram made for another l lends its power sums: re-split for
+    spec's l, it equals a fresh PointGram, and no power sum is taken
+    again."""
+    l = data.draw(st.integers(2, spec.k).filter(lambda w: w != spec.l)
+                  if spec.k > 2 else st.just(2))
+    other = replace(spec, a=data.draw(invertible(spec.ctx, l)))
+    inners = [EUCLIDEAN] + ([HERMITIAN] if spec.ctx.m % 2 == 0 else [])
+    for inner in inners:
+        shared = point_gram(other, inner)
+        points = point_gram(spec, inner, shared)
+        assert points.sums is shared.sums
+        assert points == point_gram(spec, inner)
+        assert hull_report(spec, inner, points) == hull_report(spec, inner)
