@@ -52,7 +52,8 @@ from itertools import combinations, product
 from . import eaqecc
 from .gf import ZERO, GrlError, TooLarge
 from .grl import GrlSpec
-from .hull import EUCLIDEAN, HERMITIAN, dual_generator, hull_report
+from .hull import (EUCLIDEAN, HERMITIAN, dual_generator, hull_report,
+                   point_gram)
 # rank is imported but unused: bench/test_bench.py checks that the tracer
 # patches a function into every module that imports it, here and in hull
 from .linalg import Matrix, echelon, rank, rank_rows  # noqa: F401
@@ -551,9 +552,9 @@ def classify(spec: GrlSpec, with_nongrs: bool = False) -> CodeReport:
         defect_dual=defect_dual, label=_label(defect, defect_dual),
         field=spec.ctx.field_str(), modulus=list(spec.ctx.modulus),
     )
-    rep.hull_e = hull_report(spec, EUCLIDEAN)
+    rep.hull_e = hull_report(point_gram(spec, EUCLIDEAN), spec.a)
     if spec.ctx.m % 2 == 0:
-        rep.hull_h = hull_report(spec, HERMITIAN)
+        rep.hull_h = hull_report(point_gram(spec, HERMITIAN), spec.a)
     rep.eaqecc[EUCLIDEAN] = eaqecc.derive(rep, EUCLIDEAN)
     if rep.hull_h is not None:
         rep.eaqecc[HERMITIAN] = eaqecc.derive(rep, HERMITIAN)

@@ -26,10 +26,11 @@ then builds the code and compares the computed hull.  The hypotheses
 read A only through whether the Gram corner k*X + sum a_1i^e vanishes,
 so a cell has two predictions, one per corner class.  audit_cell()
 audits one cell's tail matrices with one CellPoints, which makes both,
-X, the cell's points and the A-free part of their Gram once for all of
-them.  Every audit reads the predictions and X through predict(params,
-points), the one prediction entry point, and the Gram part through
-CellPoints.hull(A).  A cell with no claim in either class draws no A.
+X and the A-free part of the Gram (hull.PointGram) once for all of them.
+Every audit reads the predictions and X through predict(params, points),
+the one prediction entry point, and its hull through CellPoints.hull(A),
+which hands only A to hull.hull_report.  A cell with no claim in either
+class draws no A.
 """
 
 from __future__ import annotations
@@ -437,14 +438,14 @@ def _cell_key(p: FamilyParams):
 class CellPoints:
     """One cell's A-free work, shared by the audits of its tail matrices:
     the prediction of each corner class and the blocks' share X of the
-    Gram corner, each made when first asked for, and the cell's
-    evaluation points with the A-free part of their Gram
-    (hull.PointGram), made for the first A whose audit has a claim.
+    Gram corner, each made when first asked for, and the A-free part of
+    the Gram (hull.PointGram), made for the first A with a claim.
 
     grams maps _points_key to a PointGram.  Cells that differ only in l
     have the same points and power sums, so a sweep hands every cell of
-    one (q, k) the same dict: the first cell on a set of points computes
-    the power sums, and the others re-split them for their l."""
+    one (q, k) the same dict: the first cell on a set of points builds
+    a spec and computes the power sums, and the others re-split them
+    (PointGram.with_tail_width) and build no spec."""
 
     def __init__(self, cell: FamilyParams, grams: dict | None = None):
         self.cell = cell
@@ -484,21 +485,15 @@ class CellPoints:
 
     def hull(self, a: Matrix) -> HullReport:
         """The hull of this cell's code with tail matrix a."""
-        inner = HERMITIAN if self.cell.hermitian else EUCLIDEAN
         if self.gram is None:
             key = _points_key(self.cell)
-            shared = self._grams.get(key)
-            spec = (build_spec(replace(self.cell, a=a)) if shared is None
-                    else _with_tail(shared.spec, a))
-            self.gram = self._grams[key] = point_gram(spec, inner, shared)
-        else:
-            spec = _with_tail(self.gram.spec, a)
-        return hull_report(spec, inner, self.gram)
-
-
-def _with_tail(ref: GrlSpec, a: Matrix) -> GrlSpec:
-    """The spec on ref's points with tail matrix a."""
-    return GrlSpec(ctx=ref.ctx, alpha=ref.alpha, v=ref.v, a=a, k=ref.k)
+            if key in self._grams:
+                self.gram = self._grams[key].with_tail_width(self.cell.l)
+            else:
+                inner = HERMITIAN if self.cell.hermitian else EUCLIDEAN
+                spec = build_spec(replace(self.cell, a=a))
+                self.gram = self._grams[key] = point_gram(spec, inner)
+        return hull_report(self.gram, a)
 
 
 def predict(params: FamilyParams,
@@ -507,8 +502,10 @@ def predict(params: FamilyParams,
     evaluated term attached as a witness; 'none' is a valid outcome.  It
     reads A only through the Gram corner: the prediction of the corner's
     class, with the corner of params' A (and X as theta) in the corner
-    slots.  points, made for params' cell, shares the cell's A-free
-    work; GrlError if it was made for another cell."""
+    slots, so it needs A only where the cell's ladder reads a corner.
+    points, made for params' cell, shares the cell's A-free work;
+    GrlError if it was made for another cell, or if A is needed and
+    missing."""
     if points is None:
         points = CellPoints(params)
     elif _cell_key(params) != points._key:
@@ -517,6 +514,8 @@ def predict(params: FamilyParams,
     if "corner" not in pred.witnesses:  # this cell's ladder reads no A
         return Prediction(pred.claim, pred.value, pred.clause,
                           dict(pred.witnesses))
+    if params.a is None:
+        raise GrlError("this cell's prediction reads A, and params has no A")
     ctx, x = params.ctx, points.x
     corner = ctx.add(ctx.mul(ctx.from_int(params.k), x),
                      _row_norm_sum(ctx, params.a.data[0],
@@ -531,8 +530,12 @@ def predict(params: FamilyParams,
 
 def audit(params: FamilyParams,
           points: CellPoints | None = None) -> AuditRecord:
-    """Build the code, compute the hull, compare against the prediction.
-    points, made for params' cell, shares the cell's A-free work."""
+    """Compute the hull of params' code and compare it against the
+    prediction; GrlError unless params has an invertible l x l A.  points,
+    made for params' cell, shares the cell's A-free work."""
+    if params.a is None or rank(params.a) != params.l:
+        raise GrlError(f"an audit needs an invertible {params.l} x "
+                       f"{params.l} tail matrix A")
     if points is None:
         points = CellPoints(params)
     pred = predict(params, points)

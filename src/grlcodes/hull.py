@@ -25,11 +25,10 @@ The top k - l rows of the Gram never meet the corner.  point_gram brings
 them to reduced echelon form E, and reduces the l bottom point rows and
 the corner columns modulo E, on the columns F that are not pivots of E.
 The bottom Gram rows reduced modulo E are then that residue plus the
-corner S times the reduced corner columns, so hull_report ranks an
-l x |F| matrix per A: rank(Gram) = rank(E) + its rank (docs/decisions.md, section 6).  A
-sweep cell makes its PointGram once, and cells that differ only in l
-share the power sums.  A PointGram keeps the spec it was made from, and
-hull_report and point_gram read it to refuse one made for other points.
+corner S times the reduced corner columns, so hull_report(points, A)
+ranks an l x |F| matrix per A: rank(Gram) = rank(E) + its rank
+(docs/decisions.md, section 6).  A PointGram holds no spec and no A,
+and with_tail_width re-splits its power sums for another l.
 
 Oracles: gram multiplies a generator out, and hull_dim_bruteforce
 recomputes the hull as dim(C) + dim(C_perp) - rank of the stacked
@@ -118,14 +117,14 @@ def _point_rows(spec: GrlSpec, sigma: int) -> list[list[int]]:
     return rows
 
 
-def _corner(spec: GrlSpec, sigma: int) -> list[list[int]]:
+def _corner(a: Matrix, sigma: int) -> list[list[int]]:
     """The tail's share of the Gram, S = A A^T (sigma = 1) or A conj(A)^T
     (sigma = q), as a full l x l matrix: entry (j, i) is entry (i, j)
     raised to sigma."""
-    n, a, l = spec.ctx.n, spec.a.data, spec.l
+    ctx, l, a = a.ctx, a.rows, a.data
+    n, dot = ctx.n, ctx.dot
     a_bar = a if sigma == 1 else [[x if x < 0 else x * sigma % n for x in row]
                                   for row in a]
-    dot = spec.ctx.dot
     s = [[ZERO] * l for _ in range(l)]
     for i in range(l):
         for j in range(i, l):
@@ -142,7 +141,7 @@ def spec_gram(spec: GrlSpec, inner_product: str) -> Matrix:
     sigma = _sigma(ctx, inner_product)
     rows = _point_rows(spec, sigma)
     top = spec.k - spec.l
-    for row, s_row in zip(rows[top:], _corner(spec, sigma)):
+    for row, s_row in zip(rows[top:], _corner(spec.a, sigma)):
         for j, x in enumerate(s_row):
             row[top + j] = ctx.add(row[top + j], x)
     return Matrix(ctx, rows)
@@ -167,46 +166,34 @@ def _add_product(ctx: FieldCtx, rows, coeffs, vectors) -> None:
 
 
 class PointGram(NamedTuple):
-    """The A-free part of the Gram of spec's points and tail width: the
-    k x k power sums (the same for every l), the rank of the top k - l
-    rows, the l bottom point rows reduced modulo their echelon form E on
-    its free columns (residue), and each corner column reduced the same
-    way, as (position, nonzero entry) pairs: a one at a free column, or
-    minus E's row with that pivot (corner)."""
+    """The A-free part of the Gram of a set of points, v, k and tail width
+    l: the k x k power sums (the same for every l), the rank of the top
+    k - l rows, the l bottom point rows reduced modulo their echelon form
+    E on its free columns (residue), and each corner column reduced the
+    same way, as (position, nonzero entry) pairs: a one at a free column,
+    or minus E's row with that pivot (corner)."""
     inner_product: str
     sigma: int
-    spec: GrlSpec
+    ctx: FieldCtx
+    l: int
     sums: list[list[int]]
     top_rank: int
     residue: list[list[int]]
     corner: list[list[tuple[int, int]]]
 
-
-def _refuse_other_points(points: PointGram, spec: GrlSpec,
-                         inner_product: str, any_l: bool = False) -> None:
-    """GrlError unless points was made for spec's field, alpha, v, k and
-    inner product, and for its l unless any_l."""
-    ref = points.spec
-    if (points.inner_product != inner_product or ref.ctx is not spec.ctx
-            or ref.k != spec.k or ref.alpha != spec.alpha
-            or ref.v != spec.v or not (any_l or ref.l == spec.l)):
-        raise GrlError("the point Gram was made for other points, k, l "
-                       "or inner product")
+    def with_tail_width(self, l: int) -> PointGram:
+        """The PointGram of the same points for tail width l, split from
+        the same power sums; one echelon call."""
+        return _split(self.inner_product, self.sigma, self.ctx, self.sums, l)
 
 
-def point_gram(spec: GrlSpec, inner_product: str,
-               shared: PointGram | None = None) -> PointGram:
-    """The PointGram of the spec's points; one echelon call.  shared, a
-    PointGram of the same points with any l, lends its power sums;
-    GrlError if it was made for other points, k or inner product."""
-    ctx, k = spec.ctx, spec.k
-    if shared is None:
-        sigma = _sigma(ctx, inner_product)
-        sums = _point_rows(spec, sigma)
-    else:
-        _refuse_other_points(shared, spec, inner_product, any_l=True)
-        sigma, sums = shared.sigma, shared.sums
-    split = k - spec.l
+def _split(inner_product: str, sigma: int, ctx: FieldCtx,
+           sums: list[list[int]], l: int) -> PointGram:
+    """The PointGram of the power sums sums with tail width l."""
+    k = len(sums)
+    if not 2 <= l <= k:
+        raise GrlError(f"need 2 <= l <= k, got l={l} k={k}")
+    split = k - l
     top = [row[:] for row in sums[:split]]
     pivots = echelon(ctx, top)
     free = [c for c in range(k) if c not in pivots]
@@ -220,26 +207,29 @@ def point_gram(spec: GrlSpec, inner_product: str,
                  reduced)
     corner = [reduced[pivots.index(c)] if c in pivots
               else [(free.index(c), 0)] for c in range(split, k)]
-    return PointGram(inner_product=inner_product, sigma=sigma, spec=spec,
-                     sums=sums, top_rank=len(pivots), residue=residue,
-                     corner=corner)
+    return PointGram(inner_product, sigma, ctx, l, sums, len(pivots), residue,
+                     corner)
 
 
-def hull_report(spec: GrlSpec, inner_product: str,
-                points: PointGram | None = None) -> HullReport:
-    """Hull of the spec's code: k - rank(Gram), no rank(G) needed since a
-    valid spec has a generator of rank k.  points, from point_gram of a
-    spec on the same points, spares the A-free work; GrlError if it was
-    made for other points, k, l or inner product."""
-    if points is None:
-        points = point_gram(spec, inner_product)
-    else:
-        _refuse_other_points(points, spec, inner_product)
+def point_gram(spec: GrlSpec, inner_product: str) -> PointGram:
+    """The PointGram of the spec's points, v, k and l; it reads no A."""
+    sigma = _sigma(spec.ctx, inner_product)
+    return _split(inner_product, sigma, spec.ctx, _point_rows(spec, sigma),
+                  spec.l)
+
+
+def hull_report(points: PointGram, a: Matrix) -> HullReport:
+    """Hull of the code on points' points with tail matrix a: k - rank of
+    its Gram (the evaluation columns alone give G rank k, whatever a is).
+    GrlError unless a is l x l over points' field."""
+    ctx, l = points.ctx, points.l
+    if a.ctx is not ctx or a.rows != l or a.cols != l:
+        raise GrlError(f"A must be {l} x {l} over GF({ctx.field_str()})")
     rows = [row[:] for row in points.residue]
-    _add_product(spec.ctx, rows, _corner(spec, points.sigma), points.corner)
-    r = points.top_rank + len(echelon(spec.ctx, rows))
-    h = spec.k - r
-    return HullReport(inner_product=inner_product, gram_rank=r,
+    _add_product(ctx, rows, _corner(a, points.sigma), points.corner)
+    r = points.top_rank + len(echelon(ctx, rows))
+    h = len(points.sums) - r
+    return HullReport(inner_product=points.inner_product, gram_rank=r,
                       hull_dim=h, is_lcd=(h == 0))
 
 

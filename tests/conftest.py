@@ -2,6 +2,7 @@ import pytest
 
 from grlcodes.appendix import run_appendix
 from grlcodes.gf import ZERO
+from grlcodes.hull import hull_report, point_gram
 from grlcodes.linalg import Matrix, rank, rref
 
 
@@ -65,3 +66,8 @@ def assert_witness(g, cert):
 def witness():
     """assert_witness, for tests in any module."""
     return assert_witness
+
+
+def spec_hull(spec, inner):
+    """The hull report of a whole spec: its PointGram plus its A."""
+    return hull_report(point_gram(spec, inner), spec.a)

@@ -26,6 +26,7 @@ from math import gcd
 
 import pytest
 
+from conftest import spec_hull
 from grlcodes.appendix import load_rows
 from grlcodes.classify import classify, min_distance
 from grlcodes.counting import (brute_quadric_count, count_nf, count_nf_star,
@@ -37,7 +38,7 @@ from grlcodes.families import (FAMILIES, EUCLIDEAN_FAMILIES, CellPoints,
 from grlcodes.gf import ZERO, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, dual_generator,
-                           hull_dim_bruteforce, hull_report, spec_gram)
+                           hull_dim_bruteforce, spec_gram)
 from grlcodes.linalg import Matrix, rank
 from grlcodes.nongrs import (certify, exhaustive_grs_check,
                              nongrs_certificate, schur_square_dim)
@@ -217,13 +218,13 @@ def attain_spec(fam, q, k, l, shifts, exps):
 
 
 def attained_hull(fam, q, k, l, shifts, exps):
-    return hull_report(attain_spec(fam, q, k, l, shifts, exps),
-                       HERMITIAN).hull_dim
+    return spec_hull(attain_spec(fam, q, k, l, shifts, exps),
+                     HERMITIAN).hull_dim
 
 
 def hermitian_hulls(spec):
     """(Gram-rank hull, intersection-oracle hull) of the spec's code."""
-    return (hull_report(spec, HERMITIAN).hull_dim,
+    return (spec_hull(spec, HERMITIAN).hull_dim,
             hull_dim_bruteforce(build_generator(spec), HERMITIAN))
 
 
@@ -369,7 +370,7 @@ def test_criterion_6_hull_oracle_equivalence():
         g = build_generator(row.spec)
         for inner in ([EUCLIDEAN, HERMITIAN] if row.spec.ctx.m % 2 == 0
                       else [EUCLIDEAN]):
-            if hull_report(row.spec, inner).hull_dim != \
+            if spec_hull(row.spec, inner).hull_dim != \
                     hull_dim_bruteforce(g, inner):
                 mismatches.append((row.id, inner))
             checked += 1
@@ -392,7 +393,7 @@ def test_criterion_6_hull_oracle_equivalence():
         spec = GrlSpec(ctx=ctx, alpha=alpha, v=v, a=a, k=k)
         g = build_generator(spec)
         for inner in ([EUCLIDEAN, HERMITIAN] if m % 2 == 0 else [EUCLIDEAN]):
-            if hull_report(spec, inner).hull_dim != \
+            if spec_hull(spec, inner).hull_dim != \
                     hull_dim_bruteforce(g, inner):
                 mismatches.append(("random", specs_done, inner))
         specs_done += 1

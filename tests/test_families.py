@@ -15,7 +15,7 @@ from grlcodes.families import (EUCLIDEAN_FAMILIES, FAMILIES,
                                predict, sample_first_row_sum,
                                sample_invertible, sweep)
 from grlcodes.gf import ZERO, GrlError, field_new
-from grlcodes.grl import (DistinctnessViolation, InvariantViolation,
+from grlcodes.grl import (DistinctnessViolation, GrlSpec, InvariantViolation,
                          build_generator)
 from grlcodes.hull import EUCLIDEAN, HERMITIAN, gram, spec_gram
 from grlcodes.linalg import Matrix, rank
@@ -440,6 +440,51 @@ def test_cell_points_refuse_another_cell():
         audit(replace(p, delta=3), points)
     with pytest.raises(GrlError, match="not from this cell"):
         predict(replace(p, delta=3), points)
+
+
+def test_predict_and_audit_without_a():
+    # the E1 ladder reads the Gram corner of A, the H1 diagonal regime
+    # does not; an audit always needs A for its hull
+    with pytest.raises(GrlError, match="params has no A"):
+        predict(FamilyParams("E1", 81, 4, 2, delta=1))
+    h1 = FamilyParams("H1", 9, 5, 3, delta=1)
+    pred = predict(h1)
+    assert (pred.claim, pred.value) == ("hull_le", 3)
+    assert "corner" not in pred.witnesses
+    for params in (FamilyParams("E1", 81, 4, 2, delta=1), h1):
+        with pytest.raises(GrlError, match="an audit needs an invertible"):
+            audit(params)
+
+
+def test_audit_refuses_a_singular_or_misshapen_a_after_the_first():
+    # the cell's PointGram is made from the first A's spec; a later A
+    # builds no spec, and the audit still proves it invertible and l x l
+    cell = FamilyParams(family="E1", q=81, k=5, l=2, delta=2)
+    points = CellPoints(cell)
+    audit(replace(cell, a=a22(cell.ctx)), points)
+    for a in (Matrix(cell.ctx, [[0, 0], [0, 0]]),
+              Matrix.identity(cell.ctx, 3)):
+        with pytest.raises(GrlError, match="an audit needs an invertible "
+                                           "2 x 2 tail matrix A"):
+            audit(replace(cell, a=a), points)
+
+
+def test_audit_cell_builds_at_most_one_spec(monkeypatch):
+    # a cell's audits share one PointGram, so the spec of the first A
+    # with a claim is the only GrlSpec a cell builds
+    specs = Counter()
+    post_init = GrlSpec.__post_init__
+
+    def counted(self):
+        specs[self.l] += 1
+        post_init(self)
+
+    monkeypatch.setattr(GrlSpec, "__post_init__", counted)
+    cell = FamilyParams(family="E1", q=81, k=4, l=2, delta=2)
+    records = []
+    assert not audit_cell(cell, random.Random(1), 5, records, 10 ** 6)
+    assert len(records) == 6
+    assert specs == {2: 1}
 
 
 def _first_rows_by_norm_sum(ctx, e):

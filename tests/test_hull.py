@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spec_hull
 from grlcodes.classify import classify
 from grlcodes.eaqecc import derive
 from grlcodes.families import (FamilyParams, build_spec, corpus_cells,
@@ -95,7 +96,7 @@ def test_hermitian_gram_diagonal_plus_tail_when_k_divides_q_plus_1():
 
 
 def test_hull_dim_example_a1_is_lcd():
-    rep = hull_report(example_a1_spec(), EUCLIDEAN)
+    rep = spec_hull(example_a1_spec(), EUCLIDEAN)
     assert rep.hull_dim == 0 and rep.is_lcd and rep.gram_rank == 5
 
 
@@ -120,7 +121,7 @@ def test_hull_dim_one_when_corner_cancels():
     spec = GrlSpec(ctx=ctx,
                    alpha=[ctx.element(step * i + delta) for i in range(1, 5)],
                    v=[ctx.one()] * 4, a=found, k=4)
-    rep = hull_report(spec, EUCLIDEAN)
+    rep = spec_hull(spec, EUCLIDEAN)
     assert rep.hull_dim == 1 and not rep.is_lcd
     assert hull_dim_bruteforce(build_generator(spec), EUCLIDEAN) == 1
 
@@ -136,7 +137,7 @@ def test_hermitian_hull_attains_tail_width():
     spec = GrlSpec(ctx=ctx,
                    alpha=[ctx.element(step * i + delta) for i in range(1, 6)],
                    v=[ctx.one()] * 5, a=a, k=k)
-    rep = hull_report(spec, HERMITIAN)
+    rep = spec_hull(spec, HERMITIAN)
     assert rep.hull_dim == 3
     assert hull_dim_bruteforce(build_generator(spec), HERMITIAN) == 3
 
@@ -148,7 +149,6 @@ ENTRY_POINTS = {
     "dual_generator": lambda spec, name: dual_generator(build_generator(spec),
                                                         name),
     "point_gram": point_gram,
-    "hull_report": hull_report,
     "spec_gram": spec_gram,
     "eaqecc.derive": lambda spec, name: derive(classify(spec), name),
 }
@@ -251,7 +251,7 @@ def test_spec_gram_matches_generator_gram(spec):
     inners = [EUCLIDEAN] + ([HERMITIAN] if spec.ctx.m % 2 == 0 else [])
     for inner in inners:
         assert spec_gram(spec, inner) == gram(g, inner)
-        assert hull_report(spec, inner).hull_dim == hull_dim_bruteforce(g, inner)
+        assert spec_hull(spec, inner).hull_dim == hull_dim_bruteforce(g, inner)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 4)])
@@ -302,43 +302,33 @@ def test_point_gram_of_a_sibling_gives_the_same_hull(specs):
     for inner in inners:
         points = point_gram(specs[-1], inner)
         for spec in specs:
-            rep = hull_report(spec, inner, points)
-            assert rep == hull_report(spec, inner)
+            rep = hull_report(points, spec.a)
+            assert rep == spec_hull(spec, inner)
             assert rep.gram_rank == rank(spec_gram(spec, inner))
             assert rep.hull_dim == \
                 hull_dim_bruteforce(build_generator(spec), inner)
 
 
-def test_point_gram_of_other_points_is_refused():
+def test_hull_report_refuses_a_tail_matrix_of_another_size_or_field():
     spec = example_a1_spec()
     ctx = spec.ctx
     points = point_gram(spec, EUCLIDEAN)
-    shifted = replace(spec, alpha=[ctx.mul(x, ctx.element(1))
-                                   for x in spec.alpha])
-    wider = replace(spec, a=Matrix.identity(ctx, 3))
-    other_v = replace(spec, v=[ctx.element(1)] * spec.n)
-    longer = replace(spec, k=4)
-    for other in (shifted, wider, other_v, longer):
-        with pytest.raises(GrlError, match="other points"):
-            hull_report(other, EUCLIDEAN, points)
-    with pytest.raises(GrlError, match="other points"):
-        hull_report(spec, HERMITIAN, points)
-    assert hull_report(spec, EUCLIDEAN, points) == \
-        hull_report(spec, EUCLIDEAN)
-    # point_gram lends its power sums across tail widths only
-    for other in (shifted, other_v, longer):
-        with pytest.raises(GrlError, match="other points"):
-            point_gram(other, EUCLIDEAN, points)
-    with pytest.raises(GrlError, match="other points"):
-        point_gram(spec, HERMITIAN, points)
-    assert point_gram(wider, EUCLIDEAN, points) == \
-        point_gram(wider, EUCLIDEAN)
+    for a in (Matrix.identity(ctx, 3),
+              Matrix(ctx, [[0, ZERO, ZERO], [ZERO, 0, ZERO]]),
+              Matrix.identity(field_new(3, 2), 2)):
+        with pytest.raises(GrlError, match=r"A must be 2 x 2 over GF\(3\^4\)"):
+            hull_report(points, a)
+    assert hull_report(points, spec.a).is_lcd
+    # a tail width outside 2..k has no PointGram
+    for l in (1, 6):
+        with pytest.raises(GrlError, match=f"need 2 <= l <= k, got l={l} k=5"):
+            points.with_tail_width(l)
 
 
 def residue_hull(spec, inner):
     """The production hull, checked against k - rank(spec_gram) and the
     stacked-generator oracle."""
-    rep = hull_report(spec, inner)
+    rep = spec_hull(spec, inner)
     assert rep.hull_dim == spec.k - rank(spec_gram(spec, inner))
     assert rep.hull_dim == hull_dim_bruteforce(build_generator(spec), inner)
     return rep
@@ -446,16 +436,15 @@ def test_residue_hull_with_corner_pivot_rows_on_free_columns(p, m):
 @settings(max_examples=100, deadline=None)
 @given(small_specs(), st.data())
 def test_point_gram_of_another_tail_width_gives_the_same_hulls(spec, data):
-    """A PointGram made for another l lends its power sums: re-split for
-    spec's l, it equals a fresh PointGram, and no power sum is taken
-    again."""
+    """A PointGram made for another l, re-split for spec's l, equals a
+    fresh PointGram and shares its power sums: none is taken again."""
     l = data.draw(st.integers(2, spec.k).filter(lambda w: w != spec.l)
                   if spec.k > 2 else st.just(2))
     other = replace(spec, a=data.draw(invertible(spec.ctx, l)))
     inners = [EUCLIDEAN] + ([HERMITIAN] if spec.ctx.m % 2 == 0 else [])
     for inner in inners:
         shared = point_gram(other, inner)
-        points = point_gram(spec, inner, shared)
+        points = shared.with_tail_width(spec.l)
         assert points.sums is shared.sums
         assert points == point_gram(spec, inner)
-        assert hull_report(spec, inner, points) == hull_report(spec, inner)
+        assert hull_report(points, spec.a) == spec_hull(spec, inner)
