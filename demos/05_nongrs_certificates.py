@@ -13,9 +13,9 @@ or proportional pair that rules GRS out.
 from grlcodes.gf import field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.linalg import Matrix, rank, rref
-from grlcodes.nongrs import (certify, exhaustive_grs_check, grs_generator,
-                             nongrs_certificate, schur_square_dim,
+from grlcodes.nongrs import (certify, grs_generator, nongrs_certificate,
                              standard_form)
+from grlcodes.oracles import exhaustive_grs_check, schur_square_dim
 
 # A genuinely non-GRS code: k > l and n > k.
 ctx = field_new(3, 4)

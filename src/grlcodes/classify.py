@@ -35,22 +35,20 @@ and level k-1 only if it scans it, never for l = 2; d-dual reads the
 levels d kept, the same dicts in the same order.  It skips the d-dual
 search for an MDS code, whose dual is MDS.
 
-Oracles:
-
-* min_distance: the column search (depth-first over independent column
-  subsets in colex order, with incremental elimination) on a
-  parity-check matrix; it serves only as an oracle.
-* enum_min_distance: full codeword enumeration.
+Oracle: min_distance, the column search (depth-first over independent
+column subsets in colex order, with incremental elimination) on a
+parity-check matrix.  It stays here because the benchmark's distance gate
+imports it from here; full codeword enumeration is in grlcodes.oracles.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from . import eaqecc
-from .gf import ZERO, GrlError, TooLarge
+from .gf import ZERO, GrlError
 from .grl import GrlSpec
 from .hull import (EUCLIDEAN, HERMITIAN, dual_generator, hull_report,
                    point_gram)
@@ -154,28 +152,6 @@ def min_distance(g: Matrix, budget: int = DEFAULT_BUDGET) -> int:
     h = dual_generator(g, EUCLIDEAN)
     cols = [h.col(j) for j in range(h.cols)]
     return _min_dependent_columns(h.ctx, cols, h.rows, budget)
-
-
-def enum_min_distance(g: Matrix, limit: int = 2 * 10 ** 5) -> int:
-    """Oracle: minimum weight over all q^k - 1 nonzero codewords."""
-    ctx, k = g.ctx, g.rows
-    if ctx.q ** k - 1 > limit:
-        raise TooLarge(f"q^k = {ctx.q ** k} beyond enumeration limit")
-    cols = [g.col(j) for j in range(g.cols)]
-    best = g.cols
-    for msg in product(list(ctx.elements()), repeat=k):
-        if all(x == ZERO for x in msg):
-            continue
-        w = 0
-        for col in cols:
-            if ctx.dot(msg, col) != ZERO:
-                w += 1
-                if w >= best:
-                    break
-        best = min(best, w)
-        if best == 1:
-            break
-    return best
 
 
 def _extend(ctx, level, points):

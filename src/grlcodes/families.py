@@ -102,8 +102,10 @@ class FamilyParams:
         return {"delta": self.delta}
 
     def describe(self):
-        d = {"family": self.family, "q": self.q, "k": self.k, "l": self.l,
-             "A": self.a.to_strs()}
+        """family, q, k, l, then A once one is drawn, then the shifts."""
+        d = {"family": self.family, "q": self.q, "k": self.k, "l": self.l}
+        if self.a is not None:
+            d["A"] = self.a.to_strs()
         d.update(self.shifts_desc())
         return d
 

@@ -7,9 +7,9 @@ addition goes through a Zech logarithm table.
 
 The modulus is the Conway polynomial C_{p,m} and gamma the class of x.
 For m >= 2 it is read from the committed table ``conway.txt`` when the
-first such field is made; the tests check every line of that table
-against the search ``_conway_search``, which for m = 1 still finds
-C_{p,1} (gamma the smallest primitive root mod p) at run time.
+first such field is made, and C_{p,1} is x - r for r the smallest
+primitive root mod p; the tests check both against the search in
+``grlcodes.oracles``, which no command loads.
 
 The tables index elements by packed coefficient ids (id = sum c_i p^i in
 the polynomial basis).  They come from the permutation "times gamma" on
@@ -131,114 +131,16 @@ def _break_even(q: int, m: int) -> int:
     return (q - (m + 1) * sum(powers)) // (power * (len(powers) + 2))
 
 
-# -- polynomial helpers over GF(p), little-endian coefficient lists --
-
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(f, g, p):
-    # g monic
-    f = f[:]
-    dg = len(g) - 1
-    while len(f) - 1 >= dg and f:
-        c = f[-1]
-        if c:
-            shift = len(f) - 1 - dg
-            for i in range(dg + 1):
-                f[shift + i] = (f[shift + i] - c * g[i]) % p
-        f.pop()
-    return _ptrim(f)
-
-
-def _pgcd(a, b, p):
-    a, b = a[:], b[:]
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(x * inv) % p for x in b]
-        a, b = b, _pmod(a, bm, p)
-    return a
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pmod(base[:], mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _irreducible(f, p):
-    m = len(f) - 1
-    x = [0, 1]
-    xp = x[:]
-    for _ in range(m // 2):
-        xp = _ppowmod(xp, p, f, p)
-        diff = xp[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(f, _ptrim(diff), p)
-        if len(g) > 1:
-            return False
-    return True
-
-
-def _poly_order_is(f, p, order):
-    """Whether x has multiplicative order exactly `order` mod the monic
-    irreducible f (order = p^deg(f) - 1 means x is primitive)."""
-    x = [0, 1]
-    if _ppowmod(x, order, f, p) != [1]:
-        return False
-    return all(_ppowmod(x, order // r, f, p) != [1]
-               for r in prime_factors(order))
-
-
-def _subfield_compatible(f, p, subs):
-    """Whether x^((p^m - 1)/(p^d - 1)) mod f is a root of C_{p,d} for
-    every (d, C_{p,d}) in subs, m = deg f: the norm of x into each proper
-    subfield GF(p^d) is that subfield's generator."""
-    q = p ** (len(f) - 1)
-    for d, g in subs:
-        y = _ppowmod([0, 1], (q - 1) // (p ** d - 1), f, p)
-        acc: list[int] = []
-        for c in reversed(g):  # Horner: acc = acc*y + c
-            acc = _pmod(_pmul(acc, y, p), f, p)
-            if c:
-                if acc:
-                    acc[0] = (acc[0] + c) % p
-                    acc = _ptrim(acc)
-                else:
-                    acc = [c]
-        if acc:
-            return False
-    return True
-
-
 def _conway_poly(p, m):
     """Conway polynomial C_{p,m}, little-endian coefficients, for a field
     ``FieldCtx`` accepts: for m >= 2 the line of the committed table
-    ``conway.txt``, and for m = 1 the search, which takes well under a
-    millisecond there (docs/decisions.md, section 10)."""
+    ``conway.txt``, and for m = 1 x - r, r the least primitive root mod p
+    (docs/decisions.md, section 10)."""
     if m == 1:
-        return _conway_search(p, 1)
+        cofactors = [(p - 1) // f for f in prime_factors(p - 1)]
+        r = next(r for r in range(2, p)
+                 if all(pow(r, c, p) != 1 for c in cofactors))
+        return [-r % p, 1]
     # each line is "p m c_0 ... c_m" and follows a newline; parse just one
     text = _conway_text()
     start = text.index(f"\n{p} {m} ") + 1
@@ -251,44 +153,6 @@ def _conway_text():
     # imported here, not with gf, which every command process loads
     from importlib import resources
     return resources.files("grlcodes").joinpath("conway.txt").read_text()
-
-
-@lru_cache(maxsize=None)
-def _conway_search(p, m):
-    """Conway polynomial C_{p,m} by search; the oracle the table is checked
-    against, and the source of C_{p,1}.
-
-    Minimal monic primitive polynomial of degree m under the standard
-    ordering (coefficients twisted by alternating signs, compared from
-    the top degree down), compatible with the Conway polynomials of all
-    proper subfields.  Feasible here because fields are capped small.
-
-    The packed word b_{m-1}...b_0 (b_0 its last digit) stands for the
-    polynomial with c_i = (-1)^(m-i) b_i.  For m > 1 only the words with
-    b_0 = r1, the root of C_{p,1}, are walked: compatibility with GF(p)
-    says the norm of x, (-1)^m c_0 = b_0, is r1.  That keeps p^(m-1) of
-    the p^m words in the same order, so the first word that passes is
-    the same.  A word must pass all three tests below, so their order
-    cannot change the result; it is the order that measured fastest.
-    The subfield polynomials come from this search too, never from the
-    table, so the oracle stays independent of what it checks.
-    """
-    q = p ** m
-    # GF(p) is settled by the walk; the largest subfield rejects the most
-    subs = [(d, _conway_search(p, d))
-            for d in range(m // 2, 1, -1) if m % d == 0]
-    start, step = (-_conway_search(p, 1)[0] % p, p) if m > 1 else (0, 1)
-    for packed in range(start, q, step):
-        coeffs = [0] * m + [1]
-        rest = packed
-        for i in range(m):
-            rest, b = divmod(rest, p)
-            coeffs[i] = (b if (m - i) % 2 == 0 else -b) % p
-        if (_irreducible(coeffs, p)
-                and _subfield_compatible(coeffs, p, subs)
-                and _poly_order_is(coeffs, p, q - 1)):
-            return coeffs
-    raise AssertionError(f"no Conway polynomial found for ({p}, {m})")
 
 
 def _packed_arith(p, m, f):
@@ -390,12 +254,12 @@ class FieldCtx:
     """Immutable GF(p^m) context with exp/log/Zech tables.
 
     The modulus is the Conway polynomial C_{p,m} (``_conway_poly``: the
-    committed table for m >= 2, the search for m = 1) and gamma is the
-    class of x, whose full order the build checks.  That pins elements to
-    the convention of the standard computer-algebra systems, so element
-    tables written as powers of gamma are portable; a context is fully
-    determined by (p, m).  For m = 1 this makes gamma the smallest
-    primitive root mod p.
+    committed table for m >= 2, x - r for the least primitive root r for
+    m = 1) and gamma is the class of x, whose full order the build
+    checks.  That pins elements to the convention of the standard
+    computer-algebra systems, so element tables written as powers of
+    gamma are portable; a context is fully determined by (p, m).  For
+    m = 1 this makes gamma the smallest primitive root mod p.
 
     ``exp`` (log -> id) and ``log`` (id -> log) are ``array('i')``, 4 bytes
     an entry; ``zech`` (e -> log(1 + gamma^e)) is a list, for the addition
@@ -509,14 +373,6 @@ class FieldCtx:
             e += roots[y] * weight
         return e % n
 
-    # ids are packed coefficient vectors: id = sum c_i p^i
-
-    def _poly_to_id(self, f):
-        out = 0
-        for c in reversed(f):
-            out = out * self.p + c
-        return out
-
     def _build_tables(self):
         p, n = self.p, self.n
         # exp and the permutation that becomes log are int32 arrays: the
@@ -567,8 +423,11 @@ class FieldCtx:
         return self.log[x % self.p]
 
     def from_coeffs(self, coeffs) -> int:
-        f = _pmod([c % self.p for c in coeffs], self.modulus, self.p)
-        return self.log[self._poly_to_id(f)]
+        """sum c_i gamma^i over the integers c_i, by Horner's rule."""
+        acc = ZERO
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, self.gen()), self.from_int(c))
+        return acc
 
     def to_coeffs(self, a: int) -> list[int]:
         i = 0 if a == ZERO else self.exp[a]

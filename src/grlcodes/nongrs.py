@@ -14,19 +14,18 @@ Every witness is in G's coordinates, a row of B named by its pivot
 column.  `grs`: points and multipliers v, and GRS_k(points, v) is rebuilt
 and its RREF compared with G's before returning.  `non_grs`: the length,
 a zero entry of B, a nonzero 3x3 minor of R or a proportional pair.
-schur_square_dim and exhaustive_grs_check are independent test oracles,
-and elementary_symmetric is the oracle for classify's signature levels.
+Its independent test oracles, schur_square_dim and exhaustive_grs_check,
+are in grlcodes.oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import islice, product
 
-from .gf import ZERO, FieldCtx, TooLarge
+from .gf import ZERO, FieldCtx
 from .grl import GrlSpec, build_generator, grs_generator
-from .linalg import Matrix, RankDeficient, rank, rref, transpose
+from .linalg import Matrix, RankDeficient, rref, transpose
 
 
 @dataclass
@@ -38,19 +37,6 @@ class NonGrsCertificate:
     def to_json_dict(self):
         return {"method": self.method, "verdict": self.verdict,
                 "evidence": self.evidence}
-
-
-def elementary_symmetric(ctx: FieldCtx, alpha) -> list[int]:
-    """e_0..e_m of the given points, by incremental expansion.
-
-    Kept only as a test oracle for the signature levels that
-    classify's distance engines build."""
-    sig = [ctx.one()]
-    for a in alpha:
-        sig.append(ZERO)
-        for j in range(len(sig) - 1, 0, -1):
-            sig[j] = ctx.add(sig[j], ctx.mul(a, sig[j - 1]))
-    return sig
 
 
 def standard_form(g: Matrix):
@@ -132,45 +118,3 @@ def certify(g: Matrix) -> NonGrsCertificate:
 def nongrs_certificate(spec: GrlSpec) -> NonGrsCertificate:
     """GRS or not for the code of spec, with its witness (see certify)."""
     return certify(build_generator(spec))
-
-
-def schur_square_dim(g: Matrix) -> int:
-    """Dimension of the span of all pairwise coordinate products of rows."""
-    ctx = g.ctx
-    rows = []
-    for i in range(g.rows):
-        for j in range(i, g.rows):
-            rows.append([ctx.mul(a, b) for a, b in zip(g.data[i], g.data[j])])
-    return rank(Matrix(ctx, rows))
-
-
-def _rref_key(m: Matrix) -> bytes:
-    return bytes(x + 1 for row in rref(m)[0].data for x in row)
-
-
-@lru_cache(maxsize=64)
-def _grs_row_spaces(ctx: FieldCtx, k: int, nn: int) -> frozenset:
-    """RREF keys of every GRS_k(points, v) with sorted points and v_0 = 1."""
-    out = set()
-    for pts in combinations(ctx.elements(), nn):
-        for vrest in product(ctx.nonzero_elements(), repeat=nn - 1):
-            out.add(_rref_key(grs_generator(ctx, pts, (ctx.one(),) + vrest,
-                                                k)))
-    return frozenset(out)
-
-
-def exhaustive_grs_check(g: Matrix):
-    """Enumerate all GRS row spaces (q <= 7, length <= 8) and compare
-    canonical RREFs under every column permutation of g.  The row spaces
-    of each (field, k, length) are enumerated once per process."""
-    ctx, k, nn = g.ctx, g.rows, g.cols
-    if ctx.q > 7 or nn > 8:
-        raise TooLarge("exhaustive check only for q <= 7 and length <= 8")
-    if nn > ctx.q:
-        return "non_grs", {"reason": f"length {nn} exceeds field size {ctx.q}"}
-    targets = _grs_row_spaces(ctx, k, nn)
-    for perm in permutations(range(nn)):
-        pg = Matrix(ctx, [[row[j] for j in perm] for row in g.data])
-        if _rref_key(pg) in targets:
-            return "grs", {"permutation": list(perm)}
-    return "non_grs", {"reason": "no GRS row space matches any permutation"}

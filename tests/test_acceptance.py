@@ -40,8 +40,8 @@ from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import (EUCLIDEAN, HERMITIAN, dual_generator,
                            hull_dim_bruteforce, spec_gram)
 from grlcodes.linalg import Matrix, rank
-from grlcodes.nongrs import (certify, exhaustive_grs_check,
-                             nongrs_certificate, schur_square_dim)
+from grlcodes.nongrs import certify, nongrs_certificate
+from grlcodes.oracles import exhaustive_grs_check, schur_square_dim
 
 
 def report_line(name, ok, detail=""):

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from grlcodes import classify as classify_mod, linalg
 from grlcodes.appendix import load_rows
-from grlcodes.classify import (BudgetExceeded, TooLarge, _extend,
-                               _largest_deficient, _Levels,
-                               _rank_one_evaluation_targets,
+from grlcodes.classify import (BudgetExceeded, _extend, _largest_deficient,
+                               _Levels, _rank_one_evaluation_targets,
                                _rank_one_root_targets, classify,
-                               dual_min_distance, enum_min_distance,
-                               grl_min_distance, min_distance)
-from grlcodes.gf import ZERO, FieldCtx, field_new
+                               dual_min_distance, grl_min_distance,
+                               min_distance)
+from grlcodes.gf import ZERO, FieldCtx, TooLarge, field_new
 from grlcodes.grl import GrlSpec, build_generator
 from grlcodes.hull import EUCLIDEAN, dual_generator
 from grlcodes.linalg import Matrix, rank, rank_rows
-from grlcodes.nongrs import elementary_symmetric
+from grlcodes.oracles import elementary_symmetric, enum_min_distance
 
 
 def unit_spec(ctx, alpha, a_rows, k):

@@ -458,9 +458,10 @@ def test_stdout_is_byte_identical(argv, sha256, a1_spec_file, capsys):
 
 
 # the library modules that only some commands run (importing grlcodes.cli
-# loads gf, and the package itself loads nothing)
+# loads gf, and the package itself loads nothing), and the oracles, which
+# no command runs
 COMMAND_MODULES = {"appendix", "classify", "counting", "eaqecc", "families",
-                   "grl", "hull", "linalg", "nongrs"}
+                   "grl", "hull", "linalg", "nongrs", "oracles"}
 # run main(argv) in a fresh interpreter, then print its exit code and the
 # grlcodes modules it loaded
 _FOOTPRINT = """
@@ -480,6 +481,11 @@ FOOTPRINTS = {
                {"classify", "eaqecc", "grl", "hull", "linalg", "nongrs"}),
     "nongrs": (["nongrs", "--spec", SPEC], 0, {"grl", "linalg", "nongrs"}),
     "count": (COUNT, 0, {"counting"}),
+    "appendix": (["appendix", "A"], 0,
+                 {"appendix", "classify", "eaqecc", "grl", "hull", "linalg",
+                  "nongrs"}),
+    "sweep-cell": (CELL + ["--k", "5", "--l", "2", "--samples", "1"], 0,
+                   {"families", "grl", "hull", "linalg"}),
     "usage-error": (["sweep", "--family", "Z9", "--q", "5"], 2, set()),
 }
 

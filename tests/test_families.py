@@ -456,6 +456,19 @@ def test_predict_and_audit_without_a():
             audit(params)
 
 
+def test_describe_a_cell_with_and_without_a():
+    # a cell is described by family, q, k, l and shifts; A, once drawn,
+    # sits between l and the shifts, in the order audit records print
+    cell = FamilyParams("E1", 81, 4, 2, delta=1)
+    assert cell.describe() == {"family": "E1", "q": 81, "k": 4, "l": 2,
+                               "delta": 1}
+    h3 = FamilyParams("H3", 9, 4, 2, s=1, t=2)
+    assert list(h3.describe()) == ["family", "q", "k", "l", "s", "t"]
+    with_a = replace(cell, a=a22(cell.ctx)).describe()
+    assert list(with_a) == ["family", "q", "k", "l", "A", "delta"]
+    assert with_a["A"] == a22(cell.ctx).to_strs()
+
+
 def test_audit_refuses_a_singular_or_misshapen_a_after_the_first():
     # the cell's PointGram is made from the first A's spec; a later A
     # builds no spec, and the audit still proves it invertible and l x l

@@ -1,18 +1,23 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from array import array
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from grlcodes import gf
 from grlcodes.gf import (FIELD_SIZE_CAP, FILL_FLOOR, ZERO, EvenCharacteristic,
                          FieldCtx, FieldTooLarge, NotPrime, NotASquareField,
-                         _break_even, _conway_poly, _conway_search,
-                         _conway_text, _Memo, _packed_arith, _pmod, _pmul,
-                         _poly_order_is, _ppowmod, _ptrim, divisor_count,
-                         field_new, field_from_str, is_prime,
-                         quadratic_character, v_p)
+                         _break_even, _conway_poly, _conway_text, _Memo,
+                         _packed_arith, divisor_count, field_new,
+                         field_from_str, is_prime, quadratic_character, v_p)
+from grlcodes.oracles import (_conway_search, _irreducible, _pmod, _pmul,
+                              _poly_order_is, _ppowmod, _ptrim)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
                 (3, 2), (5, 2), (7, 2), (3, 4), (11, 2)]
@@ -477,22 +482,48 @@ def test_conway_table_is_complete_and_matches_the_search():
         + f"\nand holds fields FieldCtx refuses: {extra}")
 
 
-@pytest.mark.parametrize("p,m", [(3, 10), (7, 6)])
-def test_fields_are_built_without_the_search(p, m, monkeypatch):
-    # GF(3^10) builds whole when made and GF(7^6) fills on demand; both
-    # read their modulus from the table and build their whole tables
-    # without the search, which is only the tests' oracle for m >= 2
-    def refuse(p, m):
-        raise AssertionError(f"search called for ({p}, {m})")
-    monkeypatch.setattr(gf, "_conway_search", refuse)
+BUILD_WITHOUT_THE_SEARCH = """
+import json, sys
+from grlcodes.gf import FieldCtx
+fields = [(3, 10), (7, 6), (31, 1), (99991, 1)]
+moduli = []
+for p, m in fields:
     ctx = FieldCtx(p, m)
-    assert ctx.modulus == CONWAY[(p, m)]
     assert type(ctx.tables()[2]) is list
+    moduli.append(ctx.modulus)
+print(json.dumps([moduli, "grlcodes.oracles" in sys.modules]))
+"""
+
+
+def test_fields_are_built_without_the_search():
+    # GF(3^10) builds whole when made, and GF(7^6) and GF(99991) fill on
+    # demand; each field, GF(31) too, finds its modulus and builds its
+    # whole tables in a fresh interpreter that never loads the search,
+    # which is only the tests' oracle
+    src = str(Path(gf.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", BUILD_WITHOUT_THE_SEARCH],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    moduli, loaded = json.loads(proc.stdout)
+    assert moduli == [CONWAY[f] for f in [(3, 10), (7, 6), (31, 1),
+                                          (99991, 1)]]
+    assert not loaded
+
+
+def test_prime_field_modulus_is_the_least_primitive_root():
+    # gf finds C_{p,1} = x - r from the least primitive root r; the search
+    # is its oracle on every odd prime below 5,000 (3,457, the first prime
+    # field to fill on demand, among them) and on 99,991 and 1,048,573,
+    # the largest prime fields in use
+    primes = [p for p in range(3, 5000, 2) if is_prime(p)] + [99991, 1048573]
+    assert len(primes) == 670
+    assert [p for p in primes if _conway_poly(p, 1) != _conway_search(p, 1)] \
+        == []
 
 
 @pytest.mark.parametrize("p,m", [(5, 2), (3, 4), (13, 2), (3, 6)])
 def test_modulus_is_irreducible(p, m):
-    from grlcodes.gf import _irreducible
     ctx = field_new(p, m)
     assert _irreducible(list(ctx.modulus), p)
     # no root in GF(p)
