@@ -28,7 +28,7 @@ spec = GrlSpec(ctx=ctx,
 g = build_generator(spec)
 cert = nongrs_certificate(spec)
 print("[10,4,7] code:", cert.to_json_dict())
-b, info, rest = standard_form(g)
+b, info, rest, _ = standard_form(g)
 ev = cert.evidence
 minor = Matrix(ctx, [[ctx.inv(b.data[info.index(i)][rest.index(j)])
                       for j in ev["columns"]] for i in ev["rows"]])

@@ -18,19 +18,18 @@ H4   a, gamma*a, .., g^d * a  (d+1)k     LCD / hull 1 / 2 / <= l
 E-families live over GF(q) with k | q-1; H-families over GF(q^2) with
 k | q^2-1, splitting into k | q-1 (anti-diagonal Gram) and k | q+1
 (diagonal Gram) regimes.  A cell of a sweep is one FamilyParams: family,
-q, k, l and the shifts, with the matrix A once one is drawn.  It derives
-its field (ctx), whether it is Hermitian, its block shifts and its code
-length.  predict() evaluates every hypothesis exactly and returns the
-strongest applicable claim with the evaluated terms attached; audit()
-then builds the code and compares the computed hull.  The hypotheses
-read A only through whether the Gram corner k*X + sum a_1i^e vanishes,
-so a cell has two predictions, one per corner class.  audit_cell()
-audits one cell's tail matrices with one CellPoints, which makes both,
-X and the A-free part of the Gram (hull.PointGram) once for all of them.
-Every audit reads the predictions and X through predict(params, points),
-the one prediction entry point, and its hull through CellPoints.hull(A),
-which hands only A to hull.hull_report.  A cell with no claim in either
-class draws no A.
+q, k, l and the shifts, which it checks when it is made.  It derives its
+field (ctx), whether it is Hermitian, its block shifts and its code
+length.  The hypotheses read a tail matrix A only through whether the
+Gram corner k*X + sum a_1i^e vanishes, so a cell has two predictions,
+one per corner class.  A CellPoints holds a cell's A-free work: both
+predictions, X and the A-free part of the Gram (hull.PointGram), each
+made once for all the cell's A.  predict(points, A) evaluates every
+hypothesis exactly and returns the strongest applicable claim with the
+evaluated terms attached; audit(points, A) then computes the hull
+through CellPoints.hull(A), which hands only A to hull.hull_report, and
+compares.  audit_cell() audits one cell's sampled tail matrices with one
+CellPoints; a cell with no claim in either class draws no A.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ EUCLIDEAN_FAMILIES = ("E1", "E2", "E3", "E4")
 HERMITIAN_FAMILIES = ("H1", "H2", "H3", "H4")
 FAMILIES = EUCLIDEAN_FAMILIES + HERMITIAN_FAMILIES
 _FIRST_ROW_TRIES = 200  # first rows sample_first_row_sum draws
+# the shift fields a family needs where it is not delta; E4's are fixed
+_SHIFT_FIELDS = {"E3": ("s", "t"), "H3": ("s", "t"), "E4": ()}
 
 
 class NoClaim(GrlError):
@@ -69,6 +70,14 @@ class FamilyParams:
     s: int | None = None
     t: int | None = None
 
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise GrlError(f"unknown family {self.family}")
+        missing = [name for name in _SHIFT_FIELDS.get(self.family, ("delta",))
+                   if getattr(self, name) is None]
+        if missing:
+            raise GrlError(f"{self.family} needs {' and '.join(missing)}")
+
     @property
     def ctx(self) -> FieldCtx:
         return family_ctx(self.family, self.q)
@@ -81,33 +90,25 @@ class FamilyParams:
     def shifts(self) -> list[int]:
         """Exponent shift of each evaluation block, in point order."""
         fam = self.family
-        if fam in ("E1", "E2", "H1", "H2"):
-            return [self.delta]
         if fam in ("E3", "H3"):
             return [self.s, self.t]
         if fam == "E4":
             return [0, 1, 2]
         if fam == "H4":
             return list(range(self.delta + 1))
-        raise GrlError(f"unknown family {fam}")
+        return [self.delta]
 
     @property
     def length(self) -> int:
         """k points per block, plus the zero point of E2 and H2."""
         return len(self.shifts) * self.k + (self.family in ("E2", "H2"))
 
-    def shifts_desc(self):
-        if self.family in ("E3", "H3"):
-            return {"s": self.s, "t": self.t}
-        return {"delta": self.delta}
-
     def describe(self):
-        """family, q, k, l, then A once one is drawn, then the shifts."""
+        """family, q, k, l, then the shifts (delta, or s and t)."""
         d = {"family": self.family, "q": self.q, "k": self.k, "l": self.l}
-        if self.a is not None:
-            d["A"] = self.a.to_strs()
-        d.update(self.shifts_desc())
-        return d
+        if self.family in ("E3", "H3"):
+            return d | {"s": self.s, "t": self.t}
+        return d | {"delta": self.delta}
 
 
 @dataclass
@@ -433,10 +434,6 @@ def _points_key(p: FamilyParams):
     return p.family, p.q, p.k, p.delta, p.s, p.t
 
 
-def _cell_key(p: FamilyParams):
-    return _points_key(p) + (p.l,)
-
-
 class CellPoints:
     """One cell's A-free work, shared by the audits of its tail matrices:
     the prediction of each corner class and the blocks' share X of the
@@ -451,7 +448,6 @@ class CellPoints:
 
     def __init__(self, cell: FamilyParams, grams: dict | None = None):
         self.cell = cell
-        self._key = _cell_key(cell)
         self._grams = {} if grams is None else grams
         self.gram: PointGram | None = None
         self._x = None
@@ -498,60 +494,54 @@ class CellPoints:
         return hull_report(self.gram, a)
 
 
-def predict(params: FamilyParams,
-            points: CellPoints | None = None) -> Prediction:
-    """Strongest theorem claim whose hypotheses all hold, with every
-    evaluated term attached as a witness; 'none' is a valid outcome.  It
-    reads A only through the Gram corner: the prediction of the corner's
-    class, with the corner of params' A (and X as theta) in the corner
-    slots, so it needs A only where the cell's ladder reads a corner.
-    points, made for params' cell, shares the cell's A-free work;
-    GrlError if it was made for another cell, or if A is needed and
-    missing."""
-    if points is None:
-        points = CellPoints(params)
-    elif _cell_key(params) != points._key:
-        raise GrlError("audit params are not from this cell")
+def predict(points: CellPoints, a: Matrix | None = None) -> Prediction:
+    """Strongest theorem claim, for the cell of points with tail matrix
+    a, whose hypotheses all hold, with every evaluated term attached as a
+    witness; 'none' is a valid outcome.  It reads a only through the Gram
+    corner: the prediction of the corner's class, with the corner of a
+    (and X as theta) in the corner slots, so it needs a only where the
+    cell's ladder reads a corner; GrlError if a is needed and missing."""
     pred = points.prediction(False)
     if "corner" not in pred.witnesses:  # this cell's ladder reads no A
         return Prediction(pred.claim, pred.value, pred.clause,
                           dict(pred.witnesses))
-    if params.a is None:
-        raise GrlError("this cell's prediction reads A, and params has no A")
-    ctx, x = params.ctx, points.x
-    corner = ctx.add(ctx.mul(ctx.from_int(params.k), x),
-                     _row_norm_sum(ctx, params.a.data[0],
-                                   1 + params.q if params.hermitian else 2))
+    if a is None:
+        raise GrlError("this cell's prediction reads A, and no A is given")
+    cell, x = points.cell, points.x
+    ctx = cell.ctx
+    corner = ctx.add(ctx.mul(ctx.from_int(cell.k), x),
+                     _row_norm_sum(ctx, a.data[0],
+                                   1 + cell.q if cell.hermitian else 2))
     pred = points.prediction(corner == ZERO)
     w = dict(pred.witnesses)
-    if not params.hermitian:
+    if not cell.hermitian:
         w["theta"] = ctx.fmt(x)
     w["corner"] = ctx.fmt(corner)
     return Prediction(pred.claim, pred.value, pred.clause, w)
 
 
-def audit(params: FamilyParams,
-          points: CellPoints | None = None) -> AuditRecord:
-    """Compute the hull of params' code and compare it against the
-    prediction; GrlError unless params has an invertible l x l A.  points,
-    made for params' cell, shares the cell's A-free work."""
-    if params.a is None or rank(params.a) != params.l:
-        raise GrlError(f"an audit needs an invertible {params.l} x "
-                       f"{params.l} tail matrix A")
-    if points is None:
-        points = CellPoints(params)
-    pred = predict(params, points)
+def audit(points: CellPoints, a: Matrix) -> AuditRecord:
+    """Compute the hull of the code of the cell of points with tail
+    matrix a and compare it against the prediction; GrlError unless a is
+    an invertible l x l matrix.  The record's params are the cell's
+    description plus A."""
+    cell = points.cell
+    if rank(a) != cell.l:
+        raise GrlError(f"an audit needs an invertible {cell.l} x "
+                       f"{cell.l} tail matrix A")
+    pred = predict(points, a)
     if pred.claim == "none":
         raise NoClaim(pred.clause)
-    computed = points.hull(params.a).hull_dim
+    computed = points.hull(a).hull_dim
     if pred.claim == "lcd":
         passed = computed == 0
     elif pred.claim == "hull_eq":
         passed = computed == pred.value
     else:
         passed = computed <= pred.value
-    return AuditRecord(params=params.describe(), prediction=pred.describe(),
-                       computed_hull=computed, passed=passed)
+    return AuditRecord(params=cell.describe() | {"A": a.to_strs()},
+                       prediction=pred.describe(), computed_hull=computed,
+                       passed=passed)
 
 
 # -- A-matrix samplers --
@@ -589,10 +579,9 @@ def sample_first_row_sum(ctx: FieldCtx, l: int, target: int,
 
 
 def diag_powers(ctx: FieldCtx, exps) -> Matrix:
-    a = Matrix.zeros(ctx, len(exps), len(exps))
-    for i, e in enumerate(exps):
-        a.data[i][i] = ctx.element(e)
-    return a
+    return Matrix(ctx, [[ctx.element(e) if i == j else ZERO
+                         for j in range(len(exps))]
+                        for i, e in enumerate(exps)])
 
 
 # -- sweeps --
@@ -676,7 +665,7 @@ def audit_cell(cell: FamilyParams, rng: random.Random, samples: int,
         if len(records) >= budget:
             return True
         try:
-            records.append(audit(replace(cell, a=a), points))
+            records.append(audit(points, a))
         except NoClaim:
             continue
     return False

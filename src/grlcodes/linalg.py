@@ -27,9 +27,9 @@ class Matrix:
     """A rows x cols matrix over ``ctx``, stored as a list of row lists.
 
     ``_rank`` holds the rank once ``rank`` has computed it, so a matrix is
-    proved invertible once however many checks ask.  The only in-place
-    writers (``zeros`` inside ``identity``, ``families.diag_powers`` and a
-    few test builders) write before anything asks for the rank, so the
+    proved invertible once however many checks ask.  No library code
+    writes into a matrix after it is made; the only in-place writers, a
+    few test builders, write before anything asks for the rank, so the
     stored value never goes stale.
     """
 
@@ -53,10 +53,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, ctx, k):
-        m = cls.zeros(ctx, k, k)
-        for i in range(k):
-            m.data[i][i] = 0
-        return m
+        one = ctx.one()
+        return cls(ctx, [[one if i == j else ZERO for j in range(k)]
+                         for i in range(k)])
 
     @classmethod
     def from_strs(cls, ctx, rows):

@@ -1,7 +1,8 @@
 import pytest
 
 from grlcodes.appendix import run_appendix
-from grlcodes.gf import ZERO
+from grlcodes.gf import ZERO, field_new
+from grlcodes.grl import GrlSpec
 from grlcodes.hull import hull_report, point_gram
 from grlcodes.linalg import Matrix, rank, rref
 
@@ -71,3 +72,17 @@ def witness():
 def spec_hull(spec, inner):
     """The hull report of a whole spec: its PointGram plus its A."""
     return hull_report(point_gram(spec, inner), spec.a)
+
+
+def unit_spec(ctx, alpha, a_rows, k):
+    """The spec on alpha with every column multiplier 1 and A read from
+    a_rows."""
+    a = Matrix.from_strs(ctx, a_rows)
+    return GrlSpec(ctx=ctx, alpha=alpha, v=[ctx.one()] * len(alpha), a=a, k=k)
+
+
+def example_a1_spec():
+    """Example A.1: GF(3^4), k = 5, l = 2, alpha_i = gamma^(16 i + 2)."""
+    ctx = field_new(3, 4)
+    return unit_spec(ctx, [ctx.element(16 * i + 2) for i in range(1, 6)],
+                     [["g^1", "g^2"], ["g^3", "g^5"]], 5)

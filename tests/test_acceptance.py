@@ -553,9 +553,9 @@ def criterion_9(q):
         hulls = Counter()
         nonzero_rows = 0
         for a in mats:
-            params = replace(cell, a=a)
-            rec = audit(params, points)
-            full = k - rank(spec_gram(build_spec(params), EUCLIDEAN))
+            rec = audit(points, a)
+            full = k - rank(spec_gram(build_spec(replace(cell, a=a)),
+                                      EUCLIDEAN))
             if not rec.passed or rec.computed_hull != full:
                 problems.append((delta, a.to_strs(), rec.computed_hull, full))
             hulls[full] += 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import example_a1_spec, unit_spec
 from grlcodes import classify as classify_mod, linalg
 from grlcodes.appendix import load_rows
 from grlcodes.classify import (BudgetExceeded, _extend, _largest_deficient,
@@ -20,17 +21,7 @@ from grlcodes.linalg import Matrix, rank, rank_rows
 from grlcodes.oracles import elementary_symmetric, enum_min_distance
 
 
-def unit_spec(ctx, alpha, a_rows, k):
-    a = Matrix.from_strs(ctx, a_rows)
-    return GrlSpec(ctx=ctx, alpha=alpha, v=[ctx.one()] * len(alpha), a=a, k=k)
-
-
 A22 = [["g^1", "g^2"], ["g^3", "g^5"]]
-
-
-def example_a1_spec():
-    ctx = field_new(3, 4)
-    return unit_spec(ctx, [ctx.element(16 * i + 2) for i in range(1, 6)], A22, 5)
 
 
 def example_a2_spec():

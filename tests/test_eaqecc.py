@@ -2,21 +2,15 @@ import random
 
 import pytest
 
+from conftest import unit_spec
 from grlcodes.classify import CodeReport, classify
 from grlcodes.eaqecc import MissingHull, derive
 from grlcodes.gf import field_new
 from grlcodes.hull import EUCLIDEAN, HERMITIAN, HullReport
-from grlcodes.linalg import Matrix
-from grlcodes.grl import GrlSpec
 
 
 def params(t):
     return (t.n, t.k_q, t.d, t.c)
-
-
-def unit_spec(ctx, alpha, a_rows, k):
-    a = Matrix.from_strs(ctx, a_rows)
-    return GrlSpec(ctx=ctx, alpha=alpha, v=[ctx.one()] * len(alpha), a=a, k=k)
 
 
 def test_example_a1_tuples():

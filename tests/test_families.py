@@ -83,8 +83,8 @@ def test_distinctness_matches_literal_comparison():
 
 def test_predict_e1_clauses():
     ctx = family_ctx("E1", 81)
-    p = FamilyParams(family="E1", q=81, k=5, l=2, a=a22(ctx), delta=2)
-    pred = predict(p)
+    points = CellPoints(FamilyParams(family="E1", q=81, k=5, l=2, delta=2))
+    pred = predict(points, a22(ctx))
     assert pred.claim == "lcd" and "corner" in pred.witnesses
     # l = k/2 with corner forced to zero: hull_eq 1
     ctx25 = family_ctx("E1", 25)
@@ -93,10 +93,11 @@ def test_predict_e1_clauses():
     target = ctx25.neg(ctx25.mul(ctx25.from_int(k), ctx25.element(delta * k)))
     a = sample_first_row_sum(ctx25, l, target, rng, hermitian=False)
     assert a is not None
-    p2 = FamilyParams(family="E1", q=25, k=k, l=l, a=a, delta=delta)
-    pred2 = predict(p2)
+    points2 = CellPoints(FamilyParams(family="E1", q=25, k=k, l=l,
+                                      delta=delta))
+    pred2 = predict(points2, a)
     assert pred2.claim == "hull_eq" and pred2.value == 1
-    rec = audit(p2)
+    rec = audit(points2, a)
     assert rec.passed and rec.computed_hull == 1
 
 
@@ -111,21 +112,21 @@ def test_first_row_sum_without_a_nonzero_row_is_none():
 def test_predict_h1_diagonal_regime_bound():
     ctx = family_ctx("H1", 9)
     a = diag_powers(ctx, (2, 3, 4))
-    p = FamilyParams(family="H1", q=9, k=5, l=3, a=a, delta=1)
-    pred = predict(p)
+    points = CellPoints(FamilyParams(family="H1", q=9, k=5, l=3, delta=1))
+    pred = predict(points, a)
     assert pred.claim == "hull_le" and pred.value == 3
-    rec = audit(p)
+    rec = audit(points, a)
     assert rec.passed and rec.computed_hull == 3  # bound attained
 
 
 def test_predict_no_claim_cases():
     ctx = family_ctx("E1", 25)
     # l > k/2 for a single-block family: nothing applies
-    p = FamilyParams(family="E1", q=25, k=4, l=3,
-                     a=sample_invertible(ctx, 3, random.Random(0)), delta=1)
-    assert predict(p).claim == "none"
+    points = CellPoints(FamilyParams(family="E1", q=25, k=4, l=3, delta=1))
+    a = sample_invertible(ctx, 3, random.Random(0))
+    assert predict(points, a).claim == "none"
     with pytest.raises(NoClaim):
-        audit(p)
+        audit(points, a)
 
 
 def test_delta_conditions_example_values():
@@ -165,7 +166,7 @@ def test_h3_t_set_controls_antidiagonal_entries():
     ctx = family_ctx("H3", q)
     for s, t in ((4, 1), (5, 2), (10, 1), (11, 2), (28, 1)):
         p = FamilyParams(family="H3", q=q, k=k, l=l, a=a22(ctx), s=s, t=t)
-        pred = predict(p)
+        pred = predict(CellPoints(p), p.a)
         assert pred.claim == "lcd", (s, t, pred.clause)
         g = gram(build_generator(build_spec(p)), HERMITIAN)
         for i in range(1, k):
@@ -177,10 +178,10 @@ def test_audit_example_a3_parameters():
     a = Matrix.from_strs(ctx, [["g^2", "g^4", "g^6"],
                                ["g^2", "g^5", "g^7"],
                                ["g^5", "g^8", "g^9"]])
-    p = FamilyParams(family="E2", q=25, k=12, l=3, a=a, delta=2)
-    pred = predict(p)
+    points = CellPoints(FamilyParams(family="E2", q=25, k=12, l=3, delta=2))
+    pred = predict(points, a)
     assert pred.claim == "lcd"
-    rec = audit(p)
+    rec = audit(points, a)
     assert rec.passed and rec.computed_hull == 0
 
 
@@ -188,13 +189,13 @@ def test_audit_refuses_without_claim():
     ctx = family_ctx("H4", 9)
     rng = random.Random(3)
     # q=9, k=8, delta=4: S_1 = {1,3,5,7} nonempty -> no claim
-    p = FamilyParams(family="H4", q=9, k=8, l=2,
-                     a=sample_invertible(ctx, 2, rng), delta=4)
-    pred = predict(p)
+    points = CellPoints(FamilyParams(family="H4", q=9, k=8, l=2, delta=4))
+    a = sample_invertible(ctx, 2, rng)
+    pred = predict(points, a)
     assert pred.claim == "none"
     assert pred.witnesses["S_1"] == [1, 3, 5, 7]
     with pytest.raises(NoClaim):
-        audit(p)
+        audit(points, a)
 
 
 @pytest.mark.parametrize("q,k,l,delta", [(3, 4, 3, 3), (5, 6, 4, 5)])
@@ -203,7 +204,7 @@ def test_h4_colliding_blocks_have_no_claim(q, k, l, delta):
     # same block, so there is no code to claim a hull for
     p = FamilyParams(family="H4", q=q, k=k, l=l,
                      a=Matrix.identity(family_ctx("H4", q), l), delta=delta)
-    pred = predict(p)
+    pred = predict(CellPoints(p), p.a)
     assert (pred.claim, pred.clause) == \
         ("none", "blocks collide: (q^2-1)/k <= delta")
     with pytest.raises(DistinctnessViolation):
@@ -215,29 +216,29 @@ def test_e2_hull_branches():
     ctx = family_ctx("E2", 25)
     rng = random.Random(8)
     k, l, delta = 4, 2, 1
-    p1 = FamilyParams(family="E2", q=25, k=k, l=l,
-                      a=sample_invertible(ctx, l, rng), delta=delta)
-    pred1 = predict(p1)
+    points = CellPoints(FamilyParams(family="E2", q=25, k=k, l=l,
+                                     delta=delta))
+    a1 = sample_invertible(ctx, l, rng)
+    pred1 = predict(points, a1)
     assert pred1.claim == "hull_eq"
-    rec1 = audit(p1)
+    rec1 = audit(points, a1)
     assert rec1.passed
     target = ctx.neg(ctx.mul(ctx.from_int(k), ctx.element(delta * k)))
     a2 = sample_first_row_sum(ctx, l, target, rng, hermitian=False)
     assert a2 is not None
-    p2 = FamilyParams(family="E2", q=25, k=k, l=l, a=a2, delta=delta)
-    pred2 = predict(p2)
+    pred2 = predict(points, a2)
     assert (pred2.claim, pred2.value) == ("hull_eq", 2)
-    assert audit(p2).passed
+    assert audit(points, a2).passed
 
 
 def test_e4_p3_hull_branch():
     ctx = family_ctx("E4", 81)
     rng = random.Random(5)
-    p = FamilyParams(family="E4", q=81, k=5, l=2,
-                     a=sample_invertible(ctx, 2, rng))
-    pred = predict(p)
+    points = CellPoints(FamilyParams(family="E4", q=81, k=5, l=2))
+    a = sample_invertible(ctx, 2, rng)
+    pred = predict(points, a)
     assert (pred.claim, pred.value) == ("hull_eq", 1)
-    assert audit(p).passed
+    assert audit(points, a).passed
 
 
 def test_sweep_small_deterministic():
@@ -413,7 +414,7 @@ def test_corner_witness_is_the_gram_entry(family):
         p = FamilyParams(family=family, q=q, k=k, l=l,
                          a=sample_invertible(ctx, l, rng), **shifts)
         points = CellPoints(p)
-        corner = predict(p, points).witnesses.get("corner")
+        corner = predict(points, p.a).witnesses.get("corner")
         if corner is None:
             continue
         g = gram(build_generator(build_spec(p)), inner)
@@ -423,50 +424,56 @@ def test_corner_witness_is_the_gram_entry(family):
                                  inner == HERMITIAN)
         if a is None:
             continue
-        p0 = FamilyParams(family=family, q=q, k=k, l=l, a=a, **shifts)
-        g0 = gram(build_generator(build_spec(p0)), inner)
+        g0 = gram(build_generator(build_spec(replace(p, a=a))), inner)
         assert g0.data[k - l][k - l] == ZERO, (q, k, l, shifts)
-        assert predict(p0).witnesses["corner"] == "0"
+        assert predict(points, a).witnesses["corner"] == "0"
         zeroed += 1
     assert checked and zeroed == checked, (checked, zeroed)
 
 
-def test_cell_points_refuse_another_cell():
-    ctx = family_ctx("E1", 81)
-    points = CellPoints(FamilyParams(family="E1", q=81, k=5, l=2, delta=2))
-    p = FamilyParams(family="E1", q=81, k=5, l=2, a=a22(ctx), delta=2)
-    assert audit(p, points) == audit(p)
-    with pytest.raises(GrlError, match="not from this cell"):
-        audit(replace(p, delta=3), points)
-    with pytest.raises(GrlError, match="not from this cell"):
-        predict(replace(p, delta=3), points)
+def test_fresh_and_shared_cell_points_give_the_same_record():
+    cell = FamilyParams(family="E1", q=81, k=5, l=2, delta=2)
+    shared = CellPoints(cell)
+    audit(shared, Matrix.identity(cell.ctx, 2))
+    a = a22(cell.ctx)
+    assert audit(shared, a) == audit(CellPoints(cell), a)
 
 
-def test_predict_and_audit_without_a():
+def test_predict_without_a():
     # the E1 ladder reads the Gram corner of A, the H1 diagonal regime
-    # does not; an audit always needs A for its hull
-    with pytest.raises(GrlError, match="params has no A"):
-        predict(FamilyParams("E1", 81, 4, 2, delta=1))
-    h1 = FamilyParams("H1", 9, 5, 3, delta=1)
-    pred = predict(h1)
+    # does not
+    with pytest.raises(GrlError, match="reads A, and no A is given"):
+        predict(CellPoints(FamilyParams("E1", 81, 4, 2, delta=1)))
+    pred = predict(CellPoints(FamilyParams("H1", 9, 5, 3, delta=1)))
     assert (pred.claim, pred.value) == ("hull_le", 3)
     assert "corner" not in pred.witnesses
-    for params in (FamilyParams("E1", 81, 4, 2, delta=1), h1):
-        with pytest.raises(GrlError, match="an audit needs an invertible"):
-            audit(params)
 
 
 def test_describe_a_cell_with_and_without_a():
-    # a cell is described by family, q, k, l and shifts; A, once drawn,
-    # sits between l and the shifts, in the order audit records print
+    # a cell is described by family, q, k, l and shifts; an audit record's
+    # params are that description plus A
     cell = FamilyParams("E1", 81, 4, 2, delta=1)
     assert cell.describe() == {"family": "E1", "q": 81, "k": 4, "l": 2,
                                "delta": 1}
     h3 = FamilyParams("H3", 9, 4, 2, s=1, t=2)
     assert list(h3.describe()) == ["family", "q", "k", "l", "s", "t"]
-    with_a = replace(cell, a=a22(cell.ctx)).describe()
-    assert list(with_a) == ["family", "q", "k", "l", "A", "delta"]
-    assert with_a["A"] == a22(cell.ctx).to_strs()
+    assert FamilyParams("E4", 81, 5, 2).describe()["delta"] is None
+    a = a22(cell.ctx)
+    rec = audit(CellPoints(cell), a)
+    assert rec.params == cell.describe() | {"A": a.to_strs()}
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    (("E3", 31, 5, 2), {}, "E3 needs s and t"),
+    (("H3", 9, 4, 2), {"s": 1}, "H3 needs t"),
+    (("E1", 81, 5, 2), {}, "E1 needs delta"),
+    (("H4", 11, 5, 2), {}, "H4 needs delta"),
+    (("E5", 81, 5, 2), {"delta": 1}, "unknown family E5"),
+], ids=["E3", "H3-t", "E1", "H4", "unknown"])
+def test_family_params_refuse_an_unknown_family_or_missing_shift(
+        args, kwargs, message):
+    with pytest.raises(GrlError, match=message):
+        FamilyParams(*args, **kwargs)
 
 
 def test_audit_refuses_a_singular_or_misshapen_a_after_the_first():
@@ -474,12 +481,12 @@ def test_audit_refuses_a_singular_or_misshapen_a_after_the_first():
     # builds no spec, and the audit still proves it invertible and l x l
     cell = FamilyParams(family="E1", q=81, k=5, l=2, delta=2)
     points = CellPoints(cell)
-    audit(replace(cell, a=a22(cell.ctx)), points)
+    audit(points, a22(cell.ctx))
     for a in (Matrix(cell.ctx, [[0, 0], [0, 0]]),
               Matrix.identity(cell.ctx, 3)):
         with pytest.raises(GrlError, match="an audit needs an invertible "
                                            "2 x 2 tail matrix A"):
-            audit(replace(cell, a=a), points)
+            audit(points, a)
 
 
 def test_audit_cell_builds_at_most_one_spec(monkeypatch):
@@ -537,7 +544,7 @@ def test_prediction_reads_only_the_corner_class(family):
         for norm_sum, (a11, a12) in rows[q].items():
             first = [a11, a12] + [ZERO] * (l - 2)
             a = Matrix(ctx, [first] + [[ZERO] * l for _ in range(l - 1)])
-            pred = predict(replace(cell, a=a))
+            pred = predict(CellPoints(cell), a)
             corner = None if target is None else ctx.sub(norm_sum, target)
             assert _without_corner(pred) == _without_corner(
                 points.prediction(corner == ZERO)), (q, k, l, shifts)

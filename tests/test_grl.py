@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import example_a1_spec
 from grlcodes.families import FamilyParams, family_ctx, make_alpha
 from grlcodes.gf import ZERO, NotADivisor, field_new
 from grlcodes.grl import (DistinctnessViolation, GrlSpec, InvariantViolation,
@@ -22,13 +23,6 @@ def power_sum_direct(ctx, beta, s, t):
 
 def unit_v(ctx, n):
     return [ctx.one()] * n
-
-
-def example_a1_spec():
-    ctx = field_new(3, 4)
-    alpha = [ctx.element(16 * i + 2) for i in range(1, 6)]
-    a = Matrix.from_strs(ctx, [["g^1", "g^2"], ["g^3", "g^5"]])
-    return GrlSpec(ctx=ctx, alpha=alpha, v=unit_v(ctx, 5), a=a, k=5)
 
 
 def test_build_generator_example_a1_matrix():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spec_hull
+from conftest import example_a1_spec, spec_hull, unit_spec
 from grlcodes.classify import classify
 from grlcodes.eaqecc import derive
 from grlcodes.families import (FamilyParams, build_spec, corpus_cells,
@@ -17,17 +17,6 @@ from grlcodes.hull import (EUCLIDEAN, HERMITIAN, dual_generator, gram,
                            spec_gram)
 from grlcodes.linalg import (Matrix, RankDeficient, conjugate, mat_mul, rank,
                              rref, transpose)
-
-
-def unit_spec(ctx, alpha, a_rows, k):
-    a = Matrix.from_strs(ctx, a_rows)
-    return GrlSpec(ctx=ctx, alpha=alpha, v=[ctx.one()] * len(alpha), a=a, k=k)
-
-
-def example_a1_spec():
-    ctx = field_new(3, 4)
-    return unit_spec(ctx, [ctx.element(16 * i + 2) for i in range(1, 6)],
-                     [["g^1", "g^2"], ["g^3", "g^5"]], 5)
 
 
 def gram_hull(g, inner):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grlcodes import nongrs
 from grlcodes.classify import classify
 from grlcodes.gf import ZERO, TooLarge, field_new
 from grlcodes.grl import GrlSpec, build_generator
@@ -123,6 +124,24 @@ def test_grl_code_with_n_above_k_above_l_can_be_grs(witness):
     assert exhaustive_grs_check(g)[0] == "grs"
     rep = classify(spec)
     assert (rep.n, rep.k, rep.d, rep.label) == (6, 3, 4, "MDS")
+
+
+def test_a_grs_verdict_eliminates_g_once(monkeypatch):
+    # the witness check compares the rebuilt generator's RREF with the
+    # one the standard form of G already made
+    ctx = field_new(7)
+    alpha = [ctx.parse(s) for s in ("0", "1", "g^1", "g^2")]
+    a = Matrix.from_strs(ctx, [["1", "1"], ["0", "g^3"]])
+    g = build_generator(unit_spec(ctx, alpha, a, 3))
+    on_g = Counter()
+
+    def counted(m, _rref=nongrs.rref):
+        on_g[m is g] += 1
+        return _rref(m)
+
+    monkeypatch.setattr(nongrs, "rref", counted)
+    assert certify(g).verdict == "grs"
+    assert on_g == {True: 1, False: 3}
 
 
 def test_lower_triangular_tail_k_equals_l_exceeds_schur_bound():
