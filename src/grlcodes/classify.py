@@ -4,29 +4,31 @@ Production engines, one per quantity, both signature engines: the tail
 of a GRL word sees a root set or an evaluation-column set only through
 its signature e_1..e_{l-1}, so each searches the distinct signatures of
 the s-subsets of the points (one DP, level by level, at most
-min(C(n, s), q^(l-1)) per level) instead of the subsets:
+min(C(n, s), q^(l-1)) per level) instead of the subsets.
+grl_min_distance (d) is the length minus the largest zero set (roots
+among the points plus forced tail zeros), dual_min_distance (d-dual) the
+fewest dependent columns of G.  Both run one search (_search) over a
+plan of levels (s, o, r) that maximises o + t, where t is the largest
+set of a signature's l tail lines whose rank is below r, the rank of
+all l:
 
-* grl_min_distance (d): length minus the largest zero set (roots among
-  the points plus forced tail zeros), over root levels k-1 down to
-  k-l+1, by the column ranks of C A per signature.
-* dual_min_distance (d-dual): the fewest dependent columns of G, over
-  evaluation-set levels k-l+1 upward, by the row ranks of A^-1 H per
-  signature (H from the complete symmetric functions).
+  engine  tail lines      levels s           o   r        start  answer
+  d       columns of C A  k-1 down to k-l+1  s   k-s      k-1    length-best
+  d-dual  rows of A^-1 H  k-l+1 up to k-1    -s  s-k+l    l-k-1  l-best
 
-Per signature, each engine asks for the largest set of its l lines (the
-columns of C A, or the rows of A^-1 H) whose rank is below r, the rank
-of all l.  Rank 1 and rank 2, nearly every call on the appendix, are
-decided by counting, with no elimination: lines of rank 1 are scalars,
-and a set has rank 0 when all of them are zero, so the answer is the
-number of zero scalars; a set of rank below 2 lies in one direction, so
-the answer is the zero lines plus the largest class of proportional
-lines.  Only r >= 3 ranks subsets (_largest_deficient).  A rank-1 level
-(d at k-1, d-dual at k-l+1) is first decided by lookup: at most l
-signatures give l-1 zero scalars, each solved for from A, and
-_Levels.holds finds whether the level holds one by reading the level
-below it.  The engine scans the level only when none is there and the
-level can still improve on best, up to the first signature that reaches
-the lowered cap.
+The search charges levels 1..s to the budget before it reads level s.
+d also charges levels 1..k-1 up front, so that an exhausted budget still
+reports the bound d always has, length - (k-1+l), one below the
+search's own (see grl_min_distance).
+
+Rank 1 and rank 2, nearly every call on the appendix, are decided by
+counting, with no elimination: lines of rank 1 are scalars, and a set
+has rank 0 when all of them are zero, so t is the number of zero
+scalars; a set of rank below 2 lies in one direction, so t is the zero
+lines plus the largest class of proportional lines.  Only r >= 3 ranks
+subsets (_largest_deficient).  The rank-1 level (d at k-1, d-dual at
+k-l+1) is first decided by looking up the at most l signatures that give
+l-1 zero scalars, each solved for from A (see _search).
 
 classify runs one DP per spec: it hands one level source (_Levels) to
 both engines, so each level is built once, and only when a scan or a
@@ -264,7 +266,7 @@ def _largest_deficient(ctx, lines, r, lo):
     finds: (x, y) with both nonzero is keyed by y / x, (y - x) mod n in log
     form, and (0, y) and (x, 0) each by a key of its own.  For r >= 3 each
     t-subset is ranked, from t = len - 1 down to lo.  (Rank 1 is a count
-    of zero scalars, which both engines make at the call site.)"""
+    of zero scalars, which _search makes itself.)"""
     if r == 2:
         n, zeros, classes = ctx.n, 0, {}
         for x, y in lines:
@@ -290,6 +292,15 @@ def _inverse_rows(ctx, a):
     return [row[l:] for row in aug]
 
 
+def _reciprocal(ctx, a):
+    """b = 1/a mod x^len(a) for a power series a with a_0 = 1, both in
+    log form, by Newton's recurrence b_j = -(a_1 b_{j-1} + ... + a_j b_0)."""
+    dot, neg, b = ctx.dot, ctx.neg, [0]
+    for j in range(1, len(a)):
+        b.append(neg(dot(a[1:j + 1], b[::-1])))
+    return b
+
+
 def _rank_one_root_targets(ctx, a):
     """The signatures s_1..s_{l-1} whose row (s_{l-1}, ..., s_1, 1) is
     orthogonal to all columns of A but one, u0: the rows orthogonal to
@@ -307,17 +318,60 @@ def _rank_one_root_targets(ctx, a):
 def _rank_one_evaluation_targets(ctx, a):
     """The signatures s_1..s_{l-1} of -E whose h = (h_0..h_{l-1})(E) makes
     A^-1 h zero in all entries but one, u0: h = A_u0 / A[0][u0], which
-    needs A[0][u0] != 0.  s = 1/h mod x^l, by Newton's recurrence with s
-    and h swapped: s_j = -(h_1 s_{j-1} + ... + h_j s_0)."""
+    needs A[0][u0] != 0, and s = 1/h mod x^l."""
     n = ctx.n
     for col in zip(*a.data):
         top = col[0]
         if top >= 0:
             h = [x if x < 0 else (x - top) % n for x in col]
-            s = [0]
-            for j in range(1, len(h)):
-                s.append(ctx.neg(ctx.dot(h[1:j + 1], s[::-1])))
-            yield tuple(s[1:])
+            yield tuple(_reciprocal(ctx, h)[1:])
+
+
+def _search(spec, levels, budget, plan, best, targets, tails, total):
+    """total - the largest o + t over a plan of levels (s, o, r): o is the
+    level's offset, and t, at a signature of level s, the largest set of
+    its l tail lines whose rank is below r, the rank of all l.
+    ``tails(level, r)`` yields, for each signature of the level in order,
+    its r x l tail matrix as one list, row by row; the lines are its
+    columns.  ``best`` starts at what every code reaches.  The levels
+    come from ``levels``, or from a source of its own when None.
+
+    A level reaches at most its cap o + l - 1, and the caps fall along the
+    plan, so the search stops at the first level whose cap cannot beat
+    best.  Before a level is read its signature levels 1..s are charged to
+    the budget; one that does not fit raises BudgetExceeded with the bound
+    total - cap.  A rank-1 level is first decided by lookup: ``targets``
+    are the at most l signatures that give l - 1 tail zeros, and
+    _Levels.holds finds whether level s holds one by reading level s - 1.
+    A hit reaches the cap, so the search ends there.  A miss lowers the
+    cap by one: the level is skipped when best already meets that (always
+    so for l = 2), and otherwise scanned only until a signature reaches
+    it.  At r = 1 the lines are scalars and t is the number of zeros;
+    above that it is _largest_deficient's, which looks only above best."""
+    ctx, l, levels = spec.ctx, spec.l, levels or _Levels(spec)
+    for s, o, r in plan:
+        cap = o + l - 1
+        if cap <= best:
+            break
+        if not _levels_fit(spec.n, ctx.q, l - 1, s, budget):
+            raise BudgetExceeded(total - cap, budget)
+        if r == 1:
+            if levels.holds(s, targets):
+                return total - cap
+            cap -= 1
+            if cap <= best:
+                continue
+        for tail in tails(levels[s], r):
+            if r == 1:
+                t = tail.count(ZERO)
+            else:
+                lines = [tail[u::l] for u in range(l)]
+                t = _largest_deficient(ctx, lines, r, best - o + 1)
+            if o + t > best:
+                best = o + t
+                if best == cap:
+                    break
+    return total - best
 
 
 def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
@@ -331,61 +385,37 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     km <= l, row i of C has a 1 at column l-km+i and zeros to its right,
     so C, and with A in GL_l also C A, has full row rank and beta != 0:
     level m reaches at most m + l - 1 zeros.  That is k - 1, the start
-    value every code reaches, at m = k-l, and below it m + l < k.  So
-    levels m = k-1 down to k-l+1 are searched while m + l - 1 > best,
-    and t <= l-1 tail zeros are tried; a level is left as soon as best
-    reaches its cap m + l - 1.
+    value every code reaches, at m = k-l, and below it m + l < k.  C only
+    reads P_R[m-j] = e_j(-R) for j < l, so with s[j] = e_j(-R), row i of
+    C A is row l-km+i of T A, T[p][j] = s[p-j]: the tail lines are the
+    columns of C A, of rank km.
 
-    C only reads P_R[m-j] = e_j(-R) for j < l, so each level is searched
-    once per signature e_1..e_{l-1}(-R), not once per root set: with
-    s[j] = e_j(-R), row i of C A is row l-km+i of T A, T[p][j] = s[p-j].
-    The budget charges the signature levels 1..k-1 before any is built.
-    The levels come from ``levels`` (its own when None); the lookup at
-    k-1 reads level k-2, and level k-1 is built only if it is scanned.
-
-    At level k-1 (km = 1) C A is one row, row . A with row = the
-    signature reversed and then 1, so the tail zeros of a word are the
-    zero entries of that row: a count of zero dot products.  Before that
-    level is scanned, the at most l signatures that would give l-1 zeros
-    (_rank_one_root_targets) are looked up in it, from level k-2
-    (_Levels.holds).  If one is there, d is
-    length - (k + l - 2), the most zeros any level allows.  If none is, the level
-    reaches at most k + l - 3: it is skipped when best already meets
-    that (always so for l = 2), and otherwise scanned only until a
-    signature reaches it.  Levels with km >= 2 go to _largest_deficient.
+    So _search plans s = o = m for m = k-1 down to k-l+1, with r = km
+    and start k - 1, and d = length - best.  At m = k-1 C A is the one
+    row (s_{l-1}, ..., s_1, 1) . A, and the lookup targets are
+    _rank_one_root_targets.  Levels 1..k-1 are charged before the
+    search, with the bound length - (k-1+l) d has always reported, one
+    below the length - (k+l-2) the search would report at level k-1;
+    the search's charges are prefixes of this sum, so none fails after
+    it.
     """
-    ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
-    if not _levels_fit(n, ctx.q, l - 1, k - 1, budget):
+    ctx, k, l, dot = spec.ctx, spec.k, spec.l, spec.ctx.dot
+    if not _levels_fit(spec.n, ctx.q, l - 1, k - 1, budget):
         raise BudgetExceeded(spec.length - (k - 1 + l), budget)
-    if levels is None:
-        levels = _Levels(spec)
     acols = [spec.a.col(u) for u in range(l)]
-    best = k - 1
-    for m in range(k - 1, k - l, -1):
-        if m + l - 1 <= best:
-            break
-        km, cap = k - m, m + l - 1
-        if km == 1:
-            if levels.holds(m, _rank_one_root_targets(ctx, spec.a)):
-                return spec.length - cap
-            cap -= 1
-            if cap <= best:
-                continue
-        for sig in levels[m]:
-            if km == 1:
-                row = sig[::-1] + (0,)
-                t = sum(ctx.dot(row, acol) < 0 for acol in acols)
-            else:
-                s = (0,) + sig
-                rows = [s[p::-1] for p in range(l - km, l)]
-                cols = [[ctx.dot(row, acol) for row in rows]
-                        for acol in acols]
-                t = _largest_deficient(ctx, cols, km, best - m + 1)
-            if m + t > best:
-                best = m + t
-                if best == cap:
-                    break
-    return spec.length - best
+
+    def tails(level, km):
+        # entry (i, u) of C A is row p = l-km+i of T, (s_p, ..., s_0),
+        # against column u of A: s against that column's first p + 1
+        # entries reversed
+        cols = [acol[p::-1] for p in range(l - km, l) for acol in acols]
+        for sig in level:
+            s = (0,) + sig
+            yield [dot(s, col) for col in cols]
+
+    plan = [(m, m, k - m) for m in range(k - 1, k - l, -1)]
+    return _search(spec, levels, budget, plan, k - 1,
+                   _rank_one_root_targets(ctx, spec.a), tails, spec.length)
 
 
 def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
@@ -402,57 +432,29 @@ def dual_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     row set of K with rank < c.  For c <= l, rows 0..c-1 of H are
     anti-triangular with ones on the anti-diagonal, so rank H = c and
     b >= 1; any k + 1 columns are dependent.  H reads only h_1..h_{l-1}(E),
-    which Newton's identity gives from s[i] = e_i(-E), i < l:
-    h_j = -(s[1] h_{j-1} + ... + s[j] h_0).  So e runs from k - l + 1 up,
-    once per signature of -E, and stops once e + 1 reaches the best.  The
-    budget charges signature level e before it is read; the levels come
-    from ``levels`` (its own when None), and a source that d has read
-    holds level k-l and every level d built, so none is built again.
+    and h = 1/s mod x^l with s[i] = e_i(-E), i < l: the tail lines are the
+    rows of K, of rank c, and the columns of the tail matrix K^T.
 
-    At e = k-l+1 (c = 1) K is one column, A^-1 h, and the rows outside T
-    have rank 0 iff all of them are zero, so the largest row set is the
-    number of zero entries of A^-1 h.  Before that level is scanned, the
-    at most l signatures that would give l-1 zeros
-    (_rank_one_evaluation_targets) are looked up in it, from level k-l
-    (_Levels.holds).  If one is
-    there, d-dual is k - l + 2, the least weight any level allows.  If none is,
-    the level gives at least k - l + 3: it is skipped when best already
-    meets that (always so for l = 2), and otherwise scanned only until a
-    signature reaches it.  Levels with c >= 2 go to _largest_deficient.
+    So _search plans s = e, o = -e for e = k-l+1 up to k-1, with r = c
+    and start l - k - 1, and d-dual = l - best; its lower bound on an
+    exhausted budget is e + 1.  At e = k-l+1 K is the one column A^-1 h,
+    and the lookup targets are _rank_one_evaluation_targets.  A level
+    source that d has read holds level k-l and every level d built.
     """
-    ctx, k, l, n = spec.ctx, spec.k, spec.l, spec.n
-    if levels is None:
-        levels = _Levels(spec)
+    ctx, k, l, dot = spec.ctx, spec.k, spec.l, spec.ctx.dot
     ainv = _inverse_rows(ctx, spec.a)
-    best = k + 1
-    for e in range(k - l + 1, k):
-        if e + 1 >= best:
-            break
-        if not _levels_fit(n, ctx.q, l - 1, e, budget):
-            raise BudgetExceeded(e + 1, budget)
-        c, floor = e - k + l, e + 1
-        if c == 1:
-            if levels.holds(e, _rank_one_evaluation_targets(ctx, spec.a)):
-                return floor
-            floor += 1
-            if best <= floor:
-                continue
-        for sig in levels[e]:
-            s = (0,) + sig
-            h = [0]
-            for j in range(1, l):
-                h.append(ctx.neg(ctx.dot(s[1:j + 1], h[::-1])))
-            if c == 1:
-                t = sum(ctx.dot(arow, h) < 0 for arow in ainv)
-            else:
-                rows = [[ctx.dot(arow[c - 1 - i:], h) for i in range(c)]
-                        for arow in ainv]
-                t = _largest_deficient(ctx, rows, c, l - best + e + 1)
-            if e + l - t < best:
-                best = e + l - t
-                if best == floor:
-                    break
-    return best
+
+    def tails(level, c):
+        # entry (i, u) of K^T is sum_rho A^-1[u][rho] h_{rho+i+1-c}: row
+        # u of A^-1 from column c-1-i on, against h
+        shifted = [arow[c - 1 - i:] for i in range(c) for arow in ainv]
+        for sig in level:
+            h = _reciprocal(ctx, (0,) + sig)
+            yield [dot(arow, h) for arow in shifted]
+
+    plan = [(e, -e, e - k + l) for e in range(k - l + 1, k)]
+    return _search(spec, levels, budget, plan, l - k - 1,
+                   _rank_one_evaluation_targets(ctx, spec.a), tails, l)
 
 
 @dataclass
@@ -508,8 +510,8 @@ def _label(defect, defect_dual):
 
 def _distances(spec):
     """(d, d-dual) from one signature DP: d builds the levels its lookup
-    and scans read, and d-dual reads the ones d kept.  An MDS code has an MDS dual, so its d-dual is
-    k + 1 with no search."""
+    and scans read, and d-dual reads the ones d kept.  An MDS code has an
+    MDS dual, so its d-dual is k + 1 with no search."""
     levels = _Levels(spec)
     d = grl_min_distance(spec, levels=levels)
     if d == spec.length - spec.k + 1:

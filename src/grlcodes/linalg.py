@@ -48,10 +48,6 @@ class Matrix:
         self._rank = None
 
     @classmethod
-    def zeros(cls, ctx, rows, cols):
-        return cls(ctx, [[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, ctx, k):
         one = ctx.one()
         return cls(ctx, [[one if i == j else ZERO for j in range(k)]

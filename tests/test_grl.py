@@ -85,7 +85,8 @@ def test_generator_full_rank_and_monomial_equivalence():
             assert rank(g) == k
             g1 = build_generator(replace(spec, v=[0] * spec.n))
             # diag(v, 1_l) carries the unit-v generator to g
-            diag = Matrix.zeros(ctx, spec.length, spec.length)
+            diag = Matrix(ctx, [[ZERO] * spec.length
+                                for _ in range(spec.length)])
             for j in range(spec.length):
                 diag.data[j][j] = v[j] if j < n else ctx.one()
             assert mat_mul(g1, diag) == g

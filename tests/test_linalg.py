@@ -103,16 +103,16 @@ def test_mat_mul_shape_and_field_checks():
     c5, c7 = field_new(5), field_new(7)
     a = Matrix.identity(c5, 2)
     with pytest.raises(ShapeMismatch):
-        mat_mul(a, Matrix.zeros(c5, 3, 2))
+        mat_mul(a, Matrix(c5, [[ZERO] * 2 for _ in range(3)]))
     with pytest.raises(FieldMismatch):
         mat_mul(a, Matrix.identity(c7, 2))
     with pytest.raises(ShapeMismatch):
-        stack(a, Matrix.zeros(c5, 1, 3))
+        stack(a, Matrix(c5, [[ZERO] * 3 for _ in range(1)]))
 
 
 def test_conj_transpose():
     ctx = field_new(3, 2)
-    z = Matrix.zeros(ctx, 2, 3)
+    z = Matrix(ctx, [[ZERO] * 3 for _ in range(2)])
     zt = transpose(conjugate(z))
     assert zt.rows == 3 and all(x == ZERO for row in zt.data for x in row)
     one_gamma = Matrix(ctx, [[ctx.gen()]])

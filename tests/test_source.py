@@ -58,3 +58,61 @@ def test_no_production_module_imports_the_oracles():
     assert imported_modules(ast.parse("from . import oracles")) == {"oracles"}
     assert imported_modules(ast.parse(
         "from grlcodes.oracles import enum_min_distance")) == {"oracles"}
+
+
+# production names no production code reaches, each kept for a reason
+UNREACHED_ALLOWED = {
+    "classify.min_distance": "bench-bound: the distance gate's oracle",
+    "hull.hull_dim_bruteforce": "bench-bound: the sweep gate's oracle",
+    "linalg.Matrix.identity": "bench-bound: bench/test_bench.py's tracer "
+                              "check ranks an identity",
+    "gf.FieldCtx.from_coeffs": "demo API (demo 01)",
+    "gf.FieldCtx.to_coeffs": "demo API (demo 01)",
+    "families.diag_powers": "demo API (demo 03)",
+    "grl.build_M": "paper identity: the Hermitian structure matrix M",
+    "hull.spec_gram": "test reference for the residue path",
+    "counting.hull1_count_bound": "left for ROADMAP item 3 to decide "
+                                  "(demo 04 prints it)",
+}
+
+
+def unreached_names(trees):
+    """The functions and classes defined at the top of a module of
+    ``trees`` (module name -> tree), and the methods of its classes but
+    the dunders, that no tree references: a function or class by Name,
+    Attribute or ``from ... import``, a method by Attribute."""
+    defined = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{mod}.{node.name}", node.name, False))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{mod}.{node.name}.{item.name}", item.name, True)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))]
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+    return sorted(qual for qual, name, method in defined
+                  if name not in attrs and (method or name not in names))
+
+
+def test_every_library_name_is_reached():
+    # production is every module but the oracles, which serve the tests
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.stem != "oracles"}
+    assert unreached_names(trees) == sorted(UNREACHED_ALLOWED)
+    probe = ast.parse("def f(): pass\ndef g(): f()\nclass C:\n"
+                      "    def m(self): pass\n"
+                      "    def __len__(self): 0\n"
+                      "    def n(self): m()\n")
+    assert unreached_names({"probe": probe}) == [
+        "probe.C", "probe.C.m", "probe.C.n", "probe.g"]
