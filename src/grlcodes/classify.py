@@ -16,10 +16,9 @@ all l:
   d       columns of C A  k-1 down to k-l+1  s   k-s      k-1    length-best
   d-dual  rows of A^-1 H  k-l+1 up to k-1    -s  s-k+l    l-k-1  l-best
 
-The search charges levels 1..s to the budget before it reads level s.
-d also charges levels 1..k-1 up front, so that an exhausted budget still
-reports the bound d always has, length - (k-1+l), one below the
-search's own (see grl_min_distance).
+The search charges levels 1..s to the budget before it reads level s,
+and an exhausted budget reports the bound of the level it stopped at:
+d >= length - (k+l-2) at d's first level k-1 (see grl_min_distance).
 
 Rank 1 and rank 2, nearly every call on the appendix, are decided by
 counting, with no elimination: lines of rank 1 are scalars, and a set
@@ -393,15 +392,10 @@ def grl_min_distance(spec: GrlSpec, budget: int = DEFAULT_BUDGET,
     So _search plans s = o = m for m = k-1 down to k-l+1, with r = km
     and start k - 1, and d = length - best.  At m = k-1 C A is the one
     row (s_{l-1}, ..., s_1, 1) . A, and the lookup targets are
-    _rank_one_root_targets.  Levels 1..k-1 are charged before the
-    search, with the bound length - (k-1+l) d has always reported, one
-    below the length - (k+l-2) the search would report at level k-1;
-    the search's charges are prefixes of this sum, so none fails after
-    it.
+    _rank_one_root_targets.  An exhausted budget at level k-1 reports
+    d >= length - (k+l-2), since no word has more than k+l-2 zeros.
     """
     ctx, k, l, dot = spec.ctx, spec.k, spec.l, spec.ctx.dot
-    if not _levels_fit(spec.n, ctx.q, l - 1, k - 1, budget):
-        raise BudgetExceeded(spec.length - (k - 1 + l), budget)
     acols = [spec.a.col(u) for u in range(l)]
 
     def tails(level, km):

@@ -547,11 +547,25 @@ def audit(points: CellPoints, a: Matrix) -> AuditRecord:
 # -- A-matrix samplers --
 
 
+def _draws(ctx: FieldCtx, rng: random.Random, count: int) -> list[int]:
+    """What count calls of rng.choice(range(ZERO, ctx.n)) return, with the
+    same calls on rng, so rng is left in the same state: on CPython
+    3.10-3.13 choice(seq) is seq[rng._randbelow(len(seq))], and that
+    redraws getrandbits(q.bit_length()) while the result is >= q."""
+    q, bits = ctx.q, rng.getrandbits
+    width = q.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(width)
+        while r >= q:
+            r = bits(width)
+        out.append(r - 1)
+    return out
+
+
 def sample_invertible(ctx: FieldCtx, l: int, rng: random.Random) -> Matrix:
-    els = range(ZERO, ctx.n)
     while True:
-        a = Matrix(ctx, [[rng.choice(els) for _ in range(l)]
-                         for _ in range(l)])
+        a = Matrix(ctx, [_draws(ctx, rng, l) for _ in range(l)])
         if rank(a) == l:
             return a
 
@@ -560,10 +574,9 @@ def sample_first_row_sum(ctx: FieldCtx, l: int, target: int,
                          rng: random.Random, hermitian: bool) -> Matrix | None:
     """Invertible A whose first row satisfies sum a_1i^2 = target
     (Euclidean) or sum a_1i^{1+q} = target (Hermitian); None on failure."""
-    els = range(ZERO, ctx.n)
     e = 1 + ctx.base_q if hermitian else 2
     for _ in range(_FIRST_ROW_TRIES):
-        head = [rng.choice(els) for _ in range(l - 1)]
+        head = _draws(ctx, rng, l - 1)
         last = _root(ctx.sub(target, _row_norm_sum(ctx, head, e)), e)
         if last is None:
             continue
@@ -571,7 +584,7 @@ def sample_first_row_sum(ctx: FieldCtx, l: int, target: int,
         if all(x == ZERO for x in row):
             continue
         for _ in range(50):
-            rest = [[rng.choice(els) for _ in range(l)] for _ in range(l - 1)]
+            rest = [_draws(ctx, rng, l) for _ in range(l - 1)]
             a = Matrix(ctx, [row] + rest)
             if rank(a) == l:
                 return a

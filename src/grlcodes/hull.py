@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 from .gf import ZERO, FieldCtx, GrlError
 from .grl import GrlSpec
-from .linalg import (Matrix, RankDeficient, conjugate, echelon, kernel_basis,
-                     mat_mul, rank, stack, transpose)
+from .linalg import (Matrix, RankDeficient, conjugate, echelon, eliminate,
+                     kernel_basis, mat_mul, rank, stack, transpose)
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
@@ -227,7 +227,7 @@ def hull_report(points: PointGram, a: Matrix) -> HullReport:
         raise GrlError(f"A must be {l} x {l} over GF({ctx.field_str()})")
     rows = [row[:] for row in points.residue]
     _add_product(ctx, rows, _corner(a, points.sigma), points.corner)
-    r = points.top_rank + len(echelon(ctx, rows))
+    r = points.top_rank + len(eliminate(ctx, rows))
     h = len(points.sums) - r
     return HullReport(inner_product=points.inner_product, gram_rank=r,
                       hull_dim=h, is_lcd=(h == 0))

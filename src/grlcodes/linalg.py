@@ -4,6 +4,12 @@ Matrices are immutable by convention: operations return new objects.
 Entries are log-form ints as in :mod:`grlcodes.gf`.  The convention is
 load-bearing: ``rank`` stores its answer on the matrix, so a matrix must
 not be written to once anything has asked for its rank.
+
+One forward elimination kernel, ``eliminate``, runs under every rank and
+every reduced form.  A caller that reads only the rank (``rank_rows``,
+the hull's residue) calls it alone; ``echelon`` adds back-substitution
+for the callers that read the reduced rows (``rref``, and through it
+``rank``, the hull's top rows, and inverting A).
 """
 
 from __future__ import annotations
@@ -99,12 +105,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.ctx, [[dot(arow, bcol) for bcol in bt] for arow in a.data])
 
 
-def echelon(ctx: FieldCtx, rows) -> list[int]:
-    """Bring the lists ``rows`` to reduced row echelon form in place, with
+def eliminate(ctx: FieldCtx, rows) -> list[int]:
+    """Bring the lists ``rows`` to row echelon form in place, with
     first-nonzero pivoting, and return the pivot columns.
 
-    The one elimination kernel: rref and rank run on it, and the distance
-    engines call it on small row lists.
+    The one elimination kernel: each pivot clears only the rows below it,
+    and no pivot is scaled, so a caller that reads only the rank pays for
+    nothing more.  The first ``len(pivots)`` rows are then the pivot rows,
+    in order, and the rest are zero.
     """
     n, half, zech = ctx.n, ctx.half, ctx.zech
     R = rows
@@ -122,24 +130,19 @@ def echelon(ctx: FieldCtx, rows) -> list[int]:
             continue
         R[r], R[pr] = R[pr], R[r]
         prow = R[r]
-        pv = prow[c]
-        if pv:  # scale so pivot becomes gamma^0
-            s = n - pv
-            for j in range(c, ncols):
-                if prow[j] >= 0:
-                    prow[j] = (prow[j] + s) % n
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = R[i][c]
+        # row i -= (f / pivot) row r: the factor -f/pivot in log form is
+        # f + half - pivot
+        shift = half - prow[c]
+        for i in range(r + 1, nrows):
+            mrow = R[i]
+            f = mrow[c]
             if f < 0:
                 continue
-            fneg = (f + half) % n
-            mrow = R[i]
+            fneg = f + shift
             for j in range(c, ncols):
-                pj = prow[j]
-                if pj >= 0:
-                    t = (fneg + pj) % n
+                x = prow[j]
+                if x >= 0:
+                    t = (fneg + x) % n
                     a = mrow[j]
                     if a < 0:
                         mrow[j] = t
@@ -153,14 +156,55 @@ def echelon(ctx: FieldCtx, rows) -> list[int]:
     return pivots
 
 
+def echelon(ctx: FieldCtx, rows) -> list[int]:
+    """Bring the lists ``rows`` to reduced row echelon form in place, with
+    first-nonzero pivoting, and return the pivot columns.
+
+    ``eliminate``, then back-substitution: from the last pivot up, scale
+    the pivot row to 1 and clear the rows above it.  The reduced form is
+    unique, so it is the one Gauss-Jordan elimination would give.  Only
+    callers that read the reduced rows pay for this step.
+    """
+    n, half, zech = ctx.n, ctx.half, ctx.zech
+    R = rows
+    ncols = len(R[0]) if R else 0
+    pivots = eliminate(ctx, R)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        prow = R[r]
+        pv = prow[c]
+        if pv:  # scale so pivot becomes gamma^0
+            s = n - pv
+            for j in range(c, ncols):
+                if prow[j] >= 0:
+                    prow[j] = (prow[j] + s) % n
+        for i in range(r):
+            mrow = R[i]
+            f = mrow[c]
+            if f < 0:
+                continue
+            fneg = f + half
+            for j in range(c, ncols):
+                x = prow[j]
+                if x >= 0:
+                    t = (fneg + x) % n
+                    a = mrow[j]
+                    if a < 0:
+                        mrow[j] = t
+                    else:
+                        z = zech[(t - a) % n]
+                        mrow[j] = ZERO if z < 0 else (a + z) % n
+    return pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with first-nonzero pivoting.
 
-    Deterministic, so RREFs are canonical and comparable.
+    Deterministic, so RREFs are canonical and comparable.  The result's
+    rows are the one copy of m's, reduced before anything reads its rank.
     """
-    R = [row[:] for row in m.data]
-    pivots = echelon(m.ctx, R)
-    return Matrix(m.ctx, R), tuple(pivots)
+    r = Matrix(m.ctx, m.data)
+    return r, tuple(echelon(m.ctx, r.data))
 
 
 def rank(m: Matrix) -> int:
@@ -173,7 +217,7 @@ def rank(m: Matrix) -> int:
 def rank_rows(ctx: FieldCtx, rows) -> int:
     """Rank of the matrix with the given rows; the rows are left as they
     are."""
-    return len(echelon(ctx, [list(row) for row in rows]))
+    return len(eliminate(ctx, [list(row) for row in rows]))
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -12,6 +12,8 @@ this one, so no command process loads it.
 * schur_square_dim and exhaustive_grs_check: independent checks of the
   generalized Cauchy decision of nongrs.
 * enum_min_distance: the minimum distance by full codeword enumeration.
+* gauss_jordan: reduced row echelon form by Gauss-Jordan elimination, the
+  oracle for linalg's forward kernel and its back-substitution.
 """
 
 from __future__ import annotations
@@ -238,3 +240,54 @@ def enum_min_distance(g: Matrix, limit: int = 2 * 10 ** 5) -> int:
         if best == 1:
             break
     return best
+
+
+def gauss_jordan(ctx: FieldCtx, rows) -> list[int]:
+    """Bring the lists ``rows`` to reduced row echelon form in place, with
+    first-nonzero pivoting, and return the pivot columns: each pivot is
+    scaled to 1 and clears its column in every other row."""
+    n, half, zech = ctx.n, ctx.half, ctx.zech
+    R = rows
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if R[i][c] >= 0:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        prow = R[r]
+        pv = prow[c]
+        if pv:  # scale so pivot becomes gamma^0
+            s = n - pv
+            for j in range(c, ncols):
+                if prow[j] >= 0:
+                    prow[j] = (prow[j] + s) % n
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = R[i][c]
+            if f < 0:
+                continue
+            fneg = (f + half) % n
+            mrow = R[i]
+            for j in range(c, ncols):
+                pj = prow[j]
+                if pj >= 0:
+                    t = (fneg + pj) % n
+                    a = mrow[j]
+                    if a < 0:
+                        mrow[j] = t
+                    else:
+                        z = zech[(t - a) % n]
+                        mrow[j] = ZERO if z < 0 else (a + z) % n
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots

@@ -171,7 +171,8 @@ def test_classify_decides_rank_one_and_two_by_counting(monkeypatch,
     """On the 33 appendix rows, classify counts zero scalars for rank 1 at
     the call site, so _largest_deficient never sees r = 1, and its r = 2
     count of directions makes no elimination: no r = 2 call reaches
-    linalg.echelon.  The answers are those of the shared appendix run."""
+    linalg.eliminate, the kernel under every rank.  The answers are those
+    of the shared appendix run."""
     calls, eliminations = [], []
 
     def counting_deficient(ctx, lines, r, lo):
@@ -180,13 +181,13 @@ def test_classify_decides_rank_one_and_two_by_counting(monkeypatch,
         calls.append((r, len(eliminations) - before))
         return t
 
-    def counting_echelon(ctx, rows):
+    def counting_eliminate(ctx, rows):
         eliminations.append(len(rows))
-        return echelon(ctx, rows)
+        return eliminate(ctx, rows)
 
-    echelon = linalg.echelon
+    eliminate = linalg.eliminate
     monkeypatch.setattr(classify_mod, "_largest_deficient", counting_deficient)
-    monkeypatch.setattr(linalg, "echelon", counting_echelon)
+    monkeypatch.setattr(linalg, "eliminate", counting_eliminate)
     for row in load_rows("all"):
         rep = classify(row.spec)
         expect = appendix_results[row.id].report
@@ -194,6 +195,9 @@ def test_classify_decides_rank_one_and_two_by_counting(monkeypatch,
     ranks = [r for r, _ in calls]
     assert 1 not in ranks and 2 in ranks
     assert all(n == 0 for r, n in calls if r == 2)
+    # the patched kernel is the one in use: A^-1 and each hull's top rows
+    # reach it through echelon
+    assert eliminations
 
 
 def test_reciprocal_times_series_is_one():
@@ -669,16 +673,17 @@ def test_budget_exceeded_carries_lower_bound():
 def test_grl_min_distance_budget_on_long_code():
     # [103, 6] over GF(99991), l = 3: the signature levels up to k - 1 = 5
     # hold up to min(C(100, s), 99991^2) entries; level 4 alone may cost
-    # 100 * C(100, 3) > 10^7, so the search stops before it builds any
+    # 100 * C(100, 3) > 10^7, so the search stops before it builds any,
+    # at level k - 1, where no word has more than k + l - 2 = 7 zeros
     ctx = field_new(99991)
     alpha = [ctx.element(e) for e in range(1, 101)]
     spec = unit_spec(ctx, alpha, [["g^0", "0", "0"], ["0", "g^0", "0"],
                                   ["0", "0", "g^0"]], 6)
     with pytest.raises(BudgetExceeded) as exc:
         grl_min_distance(spec)
-    assert exc.value.lower_bound == 95 and exc.value.budget == 10 ** 7
+    assert exc.value.lower_bound == 96 and exc.value.budget == 10 ** 7
     assert str(exc.value) == ("distance search exceeded budget 10000000; "
-                              "d >= 95")
+                              "d >= 96")
 
 
 def test_classify_budget_on_long_code():
@@ -690,18 +695,19 @@ def test_classify_budget_on_long_code():
                                   ["0", "0", "g^0"]], 6)
     with pytest.raises(BudgetExceeded) as exc:
         classify(spec)
-    assert exc.value.lower_bound == 95 and exc.value.budget == 10 ** 7
+    assert exc.value.lower_bound == 96 and exc.value.budget == 10 ** 7
 
 
 def test_grl_min_distance_charges_each_level_in_full():
     # A.1 is [7, 5] with n = 5, l = 2 over GF(81): d needs the signature
-    # levels 1..k-1 = 4, which cost 5 * (1 + 5 + 10 + 10) = 130 steps
+    # levels 1..k-1 = 4, which cost 5 * (1 + 5 + 10 + 10) = 130 steps;
+    # one step fewer stops at level k - 1 with d >= 7 - (k + l - 2) = 2
     spec = example_a1_spec()
     assert grl_min_distance(spec, budget=130) == 3
     with pytest.raises(BudgetExceeded) as exc:
         grl_min_distance(spec, budget=129)
-    assert exc.value.lower_bound == 1 and exc.value.budget == 129
-    assert str(exc.value) == "distance search exceeded budget 129; d >= 1"
+    assert exc.value.lower_bound == 2 and exc.value.budget == 129
+    assert str(exc.value) == "distance search exceeded budget 129; d >= 2"
 
 
 def test_dual_budget_charges_each_signature_level():

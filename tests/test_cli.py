@@ -340,7 +340,7 @@ BAD_INPUTS = {
         "--delta does not apply to E3"),
     "report-distance-budget": (["report", "--spec", SPEC], WIDE_TAIL_CODE,
                                "error: distance search exceeded budget "
-                               "10000000; d >= 95"),
+                               "10000000; d >= 96"),
 }
 
 

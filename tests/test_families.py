@@ -569,6 +569,23 @@ def test_audit_cell_refuses_a_cell_without_a_claim_before_any_draw(cell,
     assert rng.getstate() == state and records == []
 
 
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
+                                 (3, 3), (11, 2), (13, 2)])
+def test_draws_match_random_choice(p, m):
+    # the samplers' draws are rng.choice's over the log-form elements,
+    # value for value, and leave the generator in the same state, so no
+    # sweep record moves; no odd q is a power of two, so every q here
+    # takes the redraw on r >= q
+    ctx = field_new(p, m)
+    els = range(ZERO, ctx.n)
+    for seed in (0, 1, 7, 2024):
+        for count in (0, 1, 4, 9, 50):
+            mine, ref = random.Random(seed), random.Random(seed)
+            assert families._draws(ctx, mine, count) == [
+                ref.choice(els) for _ in range(count)], (ctx.q, seed, count)
+            assert mine.getstate() == ref.getstate()
+
+
 def test_sampled_a_is_proved_invertible_once(monkeypatch):
     # the samplers prove rank(A) = l, and the spec an audit builds on that
     # A reads the proof A carries instead of eliminating again
@@ -581,7 +598,7 @@ def test_sampled_a_is_proved_invertible_once(monkeypatch):
     def eliminate(*args):
         raise AssertionError("rank(A) proved a second time")
 
-    monkeypatch.setattr(linalg, "echelon", eliminate)
+    monkeypatch.setattr(linalg, "eliminate", eliminate)
     for a in mats:
         assert rank(a) == 2
         assert build_spec(replace(cell, a=a)).a is a

@@ -3,10 +3,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from grlcodes.gf import ZERO, NotASquareField, field_new
+from grlcodes.gf import ZERO, FieldCtx, NotASquareField, field_new
 from grlcodes.linalg import (FieldMismatch, Matrix, ShapeMismatch,
-                             conjugate, kernel_basis, mat_mul, rank, rref,
-                             stack, transpose)
+                             conjugate, echelon, eliminate, kernel_basis,
+                             mat_mul, rank, rref, stack, transpose)
+from grlcodes.oracles import gauss_jordan
 
 
 def det_by_permutations(ctx, m):
@@ -97,6 +98,53 @@ def test_rref_idempotent_and_kernel_contract(p, m):
         # transposed form of the same contract
         kt = kernel_basis(transpose(a))
         assert rank(a) + kt.rows == a.rows
+
+
+def _kernel_case(ctx, rng, rows, cols):
+    """A rows x cols list of rows in log form, about a third of the
+    entries zero, where about a third of the rows past the first are a
+    combination of one or two earlier rows."""
+    out = []
+    for i in range(rows):
+        if i and rng.random() < 0.35:
+            row = [ZERO] * cols
+            for src in rng.sample(range(i), min(i, 2)):
+                c = rng.randrange(ctx.n)
+                row = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(row, out[src])]
+        else:
+            row = [ZERO if rng.random() < 0.3 else rng.randrange(ctx.n)
+                   for _ in range(cols)]
+        out.append(row)
+    return out
+
+
+def kernel_mismatches(ctx, count, max_rows, max_cols, seed):
+    """The seeded cases, of ``count`` matrices up to max_rows x max_cols,
+    where echelon's rows or pivots differ from gauss_jordan's, or
+    eliminate finds other pivots."""
+    rng = random.Random(seed)
+    bad = []
+    for case in range(count):
+        rows = _kernel_case(ctx, rng, rng.randint(1, max_rows),
+                            rng.randint(1, max_cols))
+        reduced, oracle = [r[:] for r in rows], [r[:] for r in rows]
+        pivots = echelon(ctx, reduced)
+        if (reduced, pivots) != (oracle, gauss_jordan(ctx, oracle)) or \
+                eliminate(ctx, [r[:] for r in rows]) != pivots:
+            bad.append(case)
+    return bad
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 2), (13, 1), (3, 5),
+                                 (99991, 1)])
+def test_kernel_matches_gauss_jordan(p, m):
+    # the forward kernel plus back-substitution gives Gauss-Jordan's reduced
+    # rows and pivots, and the forward kernel alone its pivots, on seeded
+    # matrices up to 10 x 12 with dependent rows.  An uncached GF(99991)
+    # starts with its tables on demand and builds them whole at its
+    # break-even count partway through.  CI runs the same check on
+    # GF(3^12) and GF(1048573) up to 16 x 24
+    assert kernel_mismatches(FieldCtx(p, m), 150, 10, 12, p ** m) == []
 
 
 def test_mat_mul_shape_and_field_checks():
